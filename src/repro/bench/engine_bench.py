@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.memory_store import store_mode
 from repro.core.policy import MrdScheme
 from repro.dag.dag_builder import ApplicationDAG, build_dag
 from repro.policies.scheme import CacheScheme, LruScheme
@@ -145,22 +144,15 @@ def _time_run(
     scheme_factory: Callable[[], CacheScheme],
     scheduler: str,
     repeats: int,
-    columnar: bool = True,
 ) -> tuple[float, RunMetrics]:
-    """Best-of-``repeats`` wall-clock seconds plus the run's metrics.
-
-    ``columnar=False`` runs the same workload on object-based stores
-    (the per-object reference spec), so the payload also tracks what
-    the columnar hot path buys over it.
-    """
+    """Best-of-``repeats`` wall-clock seconds plus the run's metrics."""
     best = float("inf")
     metrics: RunMetrics | None = None
     for _ in range(repeats):
-        with store_mode(columnar):
-            sim = SparkSimulator(dag, cluster, scheme_factory(), scheduler=scheduler)
-            t0 = time.perf_counter()
-            metrics = sim.run()
-            best = min(best, time.perf_counter() - t0)
+        sim = SparkSimulator(dag, cluster, scheme_factory(), scheduler=scheduler)
+        t0 = time.perf_counter()
+        metrics = sim.run()
+        best = min(best, time.perf_counter() - t0)
     assert metrics is not None
     return best, metrics
 
@@ -207,26 +199,18 @@ def run_engine_bench(
             cluster.with_cache(override) if override is not None else cluster
         )
         for scheme_name, factory in BENCH_SCHEMES.items():
-            seconds: dict[tuple[str, str], float] = {}
-            fingerprints: dict[tuple[str, str], tuple] = {}
-            # Columnar legs for every scheduling core, plus one
-            # object-store event leg so the payload also tracks what the
-            # columnar hot path buys over the per-object reference spec.
-            legs = [(scheduler, "columnar") for scheduler in schedulers]
-            if include_reference:
-                legs.append(("event", "object"))
-            for scheduler, store in legs:
+            seconds: dict[str, float] = {}
+            fingerprints: dict[str, tuple] = {}
+            for scheduler in schedulers:
                 secs, metrics = _time_run(
-                    dag, profile_cluster, factory, scheduler, config.repeats,
-                    columnar=store == "columnar",
+                    dag, profile_cluster, factory, scheduler, config.repeats
                 )
-                seconds[(scheduler, store)] = secs
-                fingerprints[(scheduler, store)] = _metrics_fingerprint(metrics)
+                seconds[scheduler] = secs
+                fingerprints[scheduler] = _metrics_fingerprint(metrics)
                 payload["runs"].append({
                     "profile": profile,
                     "scheme": scheme_name,
                     "scheduler": scheduler,
-                    "store": store,
                     "cache_mb_per_node": profile_cluster.cache_mb_per_node,
                     "tasks": tasks,
                     "stages": dag.num_active_stages,
@@ -239,14 +223,10 @@ def run_engine_bench(
                     "prefetches_issued": metrics.stats.prefetches_issued,
                 })
             if include_reference:
-                # Every leg — both cores, both store modes — must agree.
                 identical = len(set(fingerprints.values())) == 1
                 payload["metrics_identical"] &= identical
                 payload["speedup"][f"{profile}/{scheme_name}"] = (
-                    seconds[("reference", "columnar")] / seconds[("event", "columnar")]
-                )
-                payload["speedup"][f"{profile}/{scheme_name}/columnar"] = (
-                    seconds[("event", "object")] / seconds[("event", "columnar")]
+                    seconds["reference"] / seconds["event"]
                 )
     return payload
 
@@ -259,18 +239,16 @@ def render_bench(payload: dict) -> str:
         f">={payload['config']['min_tasks']} tasks, "
         f"best of {payload['config']['repeats']} "
         f"(py{payload.get('python', '?')})",
-        f"{'profile':<8} {'scheme':<6} {'scheduler':<10} {'store':<8} "
+        f"{'profile':<8} {'scheme':<6} {'scheduler':<10} "
         f"{'tasks':>6} {'seconds':>9} {'tasks/s':>10}",
     ]
     for run in payload["runs"]:
         lines.append(
             f"{run['profile']:<8} {run['scheme']:<6} {run['scheduler']:<10} "
-            f"{run.get('store', 'columnar'):<8} "
             f"{run['tasks']:>6d} {run['seconds']:>9.4f} {run['tasks_per_s']:>10,.0f}"
         )
     for key, speedup in payload.get("speedup", {}).items():
-        what = "object/columnar" if key.endswith("/columnar") else "reference/event"
-        lines.append(f"speedup {key}: {speedup:.2f}x ({what})")
+        lines.append(f"speedup {key}: {speedup:.2f}x (reference/event)")
     if payload.get("speedup"):
         lines.append(
             "metrics identical across schedulers: "
@@ -306,11 +284,6 @@ def check_against_baseline(
     cur_speedups = payload.get("speedup") or {}
     if base_speedups and cur_speedups:
         for key, base in base_speedups.items():
-            # ``.../columnar`` keys compare the two *store modes* of the
-            # event core — a diagnostic hovering around 1x whose noise
-            # at smoke sizes says nothing about scheduler regressions.
-            if key.endswith("/columnar"):
-                continue
             current = cur_speedups.get(key)
             if current is None or base <= 0:
                 continue
@@ -324,12 +297,9 @@ def check_against_baseline(
             (run["profile"], run["scheme"]): run["tasks_per_s"]
             for run in baseline.get("runs", [])
             if run["scheduler"] == "event"
-            and run.get("store", "columnar") == "columnar"
         }
         for run in payload["runs"]:
             if run["scheduler"] != "event":
-                continue
-            if run.get("store", "columnar") != "columnar":
                 continue
             base = base_rates.get((run["profile"], run["scheme"]))
             if not base:

@@ -5,62 +5,18 @@ Mirrors Spark's ``MemoryStore``: a capacity-bounded map from
 eviction policy for victims; blocks pinned by running tasks are never
 evicted; a block larger than the whole store (or whose space cannot be
 freed) is refused rather than partially cached.
-
-Columnar hot path
------------------
-Alongside the authoritative ``dict[BlockId, Block]`` the store can
-maintain *parallel numpy columns* — one row per resident block holding
-the block id (rdd, partition), its size and a policy-owned sort key
-(plus an auxiliary key for policies with a secondary order).  Rows are
-kept dense via swap-remove, so victim selection can run as array
-kernels over ``columns()`` instead of per-object walks (see
-:mod:`repro.policies.vectorized` for the selection and its tie-break
-contract).
-
-The index is built *lazily*: per-row maintenance costs a handful of
-numpy scalar writes on every insert and eviction, which is pure
-overhead for stores that never grow past the policies' batch-engagement
-thresholds.  A columnar store therefore starts with no arrays at all;
-the first batch selection calls :meth:`MemoryStore.ensure_columns`,
-which materializes the rows from the block dict, and incremental
-maintenance takes over from there.
-
-The columns are an acceleration index only: every decision they feed is
-defined by — and tested byte-identical against — the object-based
-reference path, and ``store_mode(columnar=False)`` turns them off
-entirely to re-run anything on the reference spec.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.cluster.block import Block, BlockId
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.policies.base import EvictionPolicy
-
-#: Initial row capacity of the columnar arrays; doubled on demand.
-_INITIAL_CAPACITY = 64
-
-
-class StoreColumns(NamedTuple):
-    """Dense per-row views over the store's columnar arrays.
-
-    Views are only valid until the next insert (arrays may be
-    reallocated on growth) — take them fresh per selection.
-    """
-
-    rdd: np.ndarray  #: int64 — ``BlockId.rdd_id`` per row
-    part: np.ndarray  #: int64 — ``BlockId.partition`` per row
-    size: np.ndarray  #: float64 — ``Block.size_mb`` per row
-    key: np.ndarray  #: float64 — policy-owned primary sort key
-    aux: np.ndarray  #: float64 — policy-owned secondary sort key
 
 
 @dataclass(slots=True)
@@ -74,15 +30,7 @@ class PutResult:
 class MemoryStore:
     """Capacity-bounded in-memory block store for one worker node."""
 
-    #: Process-wide default for new stores; flip via :func:`store_mode`.
-    columnar_default: bool = True
-
-    def __init__(
-        self,
-        capacity_mb: float,
-        policy: EvictionPolicy,
-        columnar: bool | None = None,
-    ) -> None:
+    def __init__(self, capacity_mb: float, policy: EvictionPolicy) -> None:
         if capacity_mb < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity_mb = float(capacity_mb)
@@ -93,16 +41,6 @@ class MemoryStore:
         # Residency count per rdd id: lets purge/unpersist paths skip
         # whole-store scans for rdds with no resident blocks.
         self._rdd_count: dict[int, int] = {}
-        self.columnar = (
-            MemoryStore.columnar_default if columnar is None else columnar
-        )
-        # Arrays are allocated lazily by ensure_columns(); until a batch
-        # selection engages, a columnar store does no row bookkeeping.
-        self._cols_active = False
-        if self.columnar:
-            self._rows: dict[BlockId, int] = {}
-            self._row_ids: list[BlockId] = []
-        policy.bind_store(self)
 
     # ------------------------------------------------------------------
     # inspection
@@ -144,112 +82,6 @@ class MemoryStore:
     def resident_rdd_ids(self) -> list[int]:
         """Rdd ids with at least one memory-resident block (insertion order)."""
         return list(self._rdd_count)
-
-    # ------------------------------------------------------------------
-    # columnar index
-    # ------------------------------------------------------------------
-    def ensure_columns(self) -> None:
-        """Materialize the columnar index (idempotent).
-
-        Called by policies when a batch selection first engages; before
-        that, inserts and evictions skip row maintenance entirely, so
-        stores that never cross a batch threshold never pay for the
-        index.  Key/aux columns start stale — the caller's rebuild
-        contract (``_keys_valid``/``_keys_dirty``/``_aux_dirty``)
-        stamps them immediately after activation.
-        """
-        if self._cols_active:
-            return
-        cap = _INITIAL_CAPACITY
-        while cap < len(self._blocks):
-            cap *= 2
-        self._col_rdd = np.zeros(cap, dtype=np.int64)
-        self._col_part = np.zeros(cap, dtype=np.int64)
-        self._col_size = np.zeros(cap, dtype=np.float64)
-        self._col_key = np.zeros(cap, dtype=np.float64)
-        self._col_aux = np.zeros(cap, dtype=np.float64)
-        self._cols_active = True
-        for block in self._blocks.values():
-            self._row_add(block)
-
-    def columns(self) -> StoreColumns:
-        """Dense views over the live rows; invalidated by inserts.
-
-        Only meaningful after :meth:`ensure_columns` has activated the
-        index.
-        """
-        n = len(self._row_ids)
-        return StoreColumns(
-            self._col_rdd[:n],
-            self._col_part[:n],
-            self._col_size[:n],
-            self._col_key[:n],
-            self._col_aux[:n],
-        )
-
-    def row_block_ids(self) -> list[BlockId]:
-        """Block id per row, aligned with :meth:`columns`."""
-        return self._row_ids
-
-    def blocked_rows(self, protect: frozenset[BlockId]) -> list[int]:
-        """Row indices that must not be evicted (pinned or protected)."""
-        rows = self._rows
-        blocked = [r for bid in protect if (r := rows.get(bid)) is not None]
-        for bid, count in self._pinned.items():
-            if count > 0 and (r := rows.get(bid)) is not None:
-                blocked.append(r)
-        return blocked
-
-    def set_key(self, block_id: BlockId, value: float) -> None:
-        """Write the primary key column for a resident block (else no-op)."""
-        row = self._rows.get(block_id)
-        if row is not None:
-            self._col_key[row] = value
-
-    def set_aux(self, block_id: BlockId, value: float) -> None:
-        """Write the auxiliary key column for a resident block (else no-op)."""
-        row = self._rows.get(block_id)
-        if row is not None:
-            self._col_aux[row] = value
-
-    def _grow(self) -> None:
-        cap = self._col_rdd.shape[0] * 2
-        for name in (
-            "_col_rdd", "_col_part", "_col_size", "_col_key", "_col_aux",
-        ):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
-
-    def _row_add(self, block: Block) -> None:
-        row = len(self._row_ids)
-        if row == self._col_rdd.shape[0]:
-            self._grow()
-        bid = block.id
-        self._col_rdd[row] = bid.rdd_id
-        self._col_part[row] = bid.partition
-        self._col_size[row] = block.size_mb
-        # key/aux are deliberately left stale: both columns are only read
-        # by batch selections, and every batching policy rewrites its
-        # rows before the first read (the ``_keys_valid``/``_keys_dirty``
-        # rebuild contracts) and maintains them per insert afterwards.
-        self._rows[bid] = row
-        self._row_ids.append(bid)
-
-    def _row_del(self, block_id: BlockId) -> None:
-        row = self._rows.pop(block_id)
-        last = len(self._row_ids) - 1
-        if row != last:
-            moved = self._row_ids[last]
-            self._row_ids[row] = moved
-            self._rows[moved] = row
-            self._col_rdd[row] = self._col_rdd[last]
-            self._col_part[row] = self._col_part[last]
-            self._col_size[row] = self._col_size[last]
-            self._col_key[row] = self._col_key[last]
-            self._col_aux[row] = self._col_aux[last]
-        self._row_ids.pop()
 
     # ------------------------------------------------------------------
     # pinning — blocks being read by a running task must not be evicted
@@ -319,8 +151,6 @@ class MemoryStore:
         self._blocks[bid] = block
         self._used_mb += block.size_mb
         self._rdd_count[bid.rdd_id] = self._rdd_count.get(bid.rdd_id, 0) + 1
-        if self._cols_active:
-            self._row_add(block)
         self.policy.on_insert(block)
         return PutResult(stored=True, evicted=evicted)
 
@@ -343,23 +173,6 @@ class MemoryStore:
             del self._rdd_count[block_id.rdd_id]
         else:
             self._rdd_count[block_id.rdd_id] = count - 1
-        if self._cols_active:
-            self._row_del(block_id)
         self.policy.on_remove(block_id)
         return block
 
-
-@contextmanager
-def store_mode(columnar: bool) -> Iterator[None]:
-    """Temporarily force the store mode for newly built clusters.
-
-    Used by the benchmark and equivalence tests to run the same
-    workload on the columnar hot path and the object-based reference
-    path; affects only stores constructed inside the ``with`` block.
-    """
-    prev = MemoryStore.columnar_default
-    MemoryStore.columnar_default = columnar
-    try:
-        yield
-    finally:
-        MemoryStore.columnar_default = prev

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.cluster.block import Block, BlockId
 from repro.core.manager import MrdManager
 from repro.core.mrd_table import INFINITE
-from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
-from repro.policies.vectorized import select_block_victims
+from repro.policies.base import EvictionPolicy, take_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.memory_store import MemoryStore
@@ -50,7 +50,7 @@ class CacheStatus:
     num_blocks: int
 
 
-class MrdTableView:
+class MrdTableView(EvictionPolicy):
     """Worker-local view of the driver's MRD_Table.
 
     Distance lookups go through the last delivered table broadcast when
@@ -58,11 +58,24 @@ class MrdTableView:
     fall back to the live shared manager — which is exactly what an
     instantly-delivered snapshot would answer, since the table only
     changes at stage boundaries.
+
+    Policies built on the view keep a *maintained eviction order*:
+    ``(key, BlockId)`` pairs sorted by the subclass's ``_order_key``
+    over the blocks ``_order_ids`` names.  A distance key carries no
+    recency term, so the order only changes on insert/remove (binary
+    insertion/deletion) and on an accepted broadcast (full
+    invalidation) — selections walk it in O(victims) instead of
+    re-sorting the store.
     """
 
     #: Last delivered snapshot (shared, read-only) and its boundary seq.
     _distances: Mapping[int, float] | None = None
     _view_seq: int = -1
+    #: Sorted ``(key, id)`` pairs; ``None`` = rebuild on next selection.
+    _order: list[tuple[tuple, BlockId]] | None = None
+    #: Whether the maintained order also answers demand selections (it
+    #: always answers prefetch-triggered ones).
+    _order_serves_demand: bool = True
 
     def on_table_update(self, seq: int, distances: Mapping[int, float]) -> bool:
         """Replace the local view; refuse snapshots older than held."""
@@ -70,6 +83,7 @@ class MrdTableView:
             return False
         self._view_seq = seq
         self._distances = distances
+        self._order = None
         return True
 
     def lookup_distance(self, rdd_id: int) -> float:
@@ -80,6 +94,59 @@ class MrdTableView:
 
     def _live_distance(self, rdd_id: int) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # maintained eviction order
+    # ------------------------------------------------------------------
+    def _order_key(self, bid: BlockId) -> tuple:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _order_ids(self) -> Iterable[BlockId]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _order_insert(self, bid: BlockId) -> None:
+        if self._order is not None:
+            insort(self._order, (self._order_key(bid), bid))
+
+    def _order_remove(self, bid: BlockId) -> None:
+        """Drop ``bid``; call before the state its key reads is dropped."""
+        order = self._order
+        if order is None:
+            return
+        # Key recomputation is exact: the held view cannot have changed
+        # since the entry was inserted (an accepted update clears the
+        # order).
+        entry = (self._order_key(bid), bid)
+        i = bisect_left(order, entry)
+        if i < len(order) and order[i] == entry:
+            del order[i]
+        else:  # pragma: no cover - defensive: untracked removal
+            self._order = None
+
+    def select_victims(
+        self,
+        store: MemoryStore,
+        needed_mb: float,
+        protect: frozenset[BlockId] = frozenset(),
+        for_prefetch: bool = False,
+    ) -> list[BlockId] | None:
+        """Walk the maintained order when it can answer for ``store``.
+
+        It engages only with a delivered table snapshot (live manager
+        distances can drift without notice) and only when it covers
+        exactly the blocks of the store being asked about (a co-tenant's
+        blocks on a shared store are not this policy's to rank).
+        Anything else takes the policy's reference walk.
+        """
+        if self._distances is not None and (for_prefetch or self._order_serves_demand):
+            order = self._order
+            if order is None:
+                order = self._order = sorted(
+                    (self._order_key(bid), bid) for bid in self._order_ids()
+                )
+            if len(order) == len(store):
+                return take_victims(map(itemgetter(1), order), store, needed_mb, protect)
+        return super().select_victims(store, needed_mb, protect, for_prefetch)
 
 
 #: Tie-breaking rules for blocks with equal reference distance.  The
@@ -96,7 +163,7 @@ class MrdTableView:
 TIE_BREAKERS = ("partition", "size", "creation")
 
 
-class CacheMonitor(MrdTableView, EvictionPolicy):
+class CacheMonitor(MrdTableView):
     """Greatest-reference-distance eviction for one node."""
 
     name = "MRD-CacheMonitor"
@@ -115,19 +182,6 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         self._last_touch: dict[BlockId, int] = {}
         #: Block sizes observed at insertion (for the "size" rule).
         self._sizes: dict[BlockId, float] = {}
-        #: Key column lags the distance view until the first batch
-        #: selection (and again after each accepted broadcast) refreshes
-        #: it — per-insert key writes only resume once a refresh proved
-        #: the column is actually consulted.
-        self._keys_dirty = True
-        #: Incrementally maintained eviction order: ``(evict_key, id)``
-        #: tuples, sorted, covering exactly the blocks this monitor
-        #: manages.  ``_evict_key`` contains *no recency term*, so the
-        #: order only changes on insert/remove (maintained by binary
-        #: insertion/deletion) and on an accepted table broadcast (full
-        #: invalidation) — selections walk it in O(victims) instead of
-        #: re-sorting the store.  ``None`` = rebuild on next selection.
-        self._order: list[tuple[tuple[float, float, int, int], BlockId]] | None = None
 
     def _live_distance(self, rdd_id: int) -> float:
         return self.manager.distance(rdd_id)
@@ -135,50 +189,13 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
     def on_insert(self, block: Block) -> None:
         self._last_touch[block.id] = next(self._touch)
         self._sizes[block.id] = block.size_mb
-        if self._store is not None and not self._keys_dirty:
-            self._store.set_key(block.id, -self.lookup_distance(block.id.rdd_id))
-        if self._order is not None:
-            insort(self._order, (self._evict_key(block.id), block.id))
+        self._order_insert(block.id)
 
     def on_access(self, block: Block) -> None:
         self._last_touch[block.id] = next(self._touch)
 
-    def on_table_update(self, seq: int, distances: Mapping[int, float]) -> bool:
-        applied = super().on_table_update(seq, distances)
-        if applied:
-            self._keys_dirty = True
-            self._order = None
-        return applied
-
-    def _refresh_keys(self) -> None:
-        """Rewrite this monitor's key-column entries from the held view.
-
-        Iterates only the blocks this monitor manages (``_sizes``), so
-        co-tenant rows on a shared columnar store are never touched.
-        """
-        store = self._store
-        assert store is not None
-        self._keys_dirty = False
-        keys: dict[int, float] = {}
-        for bid in self._sizes:
-            key = keys.get(bid.rdd_id)
-            if key is None:
-                key = -self.lookup_distance(bid.rdd_id)
-                keys[bid.rdd_id] = key
-            store.set_key(bid, key)
-
     def on_remove(self, block_id: BlockId) -> None:
-        order = self._order
-        if order is not None:
-            # Key recomputation is exact: the held view cannot have
-            # changed since the entry was inserted (an accepted update
-            # clears the order) and ``_sizes`` is popped only below.
-            entry = (self._evict_key(block_id), block_id)
-            i = bisect_left(order, entry)
-            if i < len(order) and order[i] == entry:
-                del order[i]
-            else:  # pragma: no cover - defensive: untracked removal
-                self._order = None
+        self._order_remove(block_id)
         self._last_touch.pop(block_id, None)
         self._sizes.pop(block_id, None)
 
@@ -211,74 +228,11 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
             tie = 0.0
         return (-dist, tie, -bid.partition, -bid.rdd_id)
 
-    def select_victims(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None:
-        """Walk the incrementally maintained order instead of sorting.
+    #: Demand and prefetch selections share the distance order.
+    _order_key = _evict_key
 
-        Engages only with a bound columnar store *and* a delivered table
-        snapshot (live manager distances can drift without notice), and
-        only when the maintained order covers exactly the blocks of the
-        store being asked about — anything else falls back to the base
-        batch-then-reference path.  Prefetch selections share the demand
-        order (this policy defines no separate prefetch order).
-        """
-        if self._store is None or self._distances is None:
-            return super().select_victims(store, needed_mb, protect, for_prefetch)
-        order = self._order
-        if order is None:
-            order = self._order = sorted(
-                (self._evict_key(bid), bid) for bid in self._sizes
-            )
-        if len(order) != len(store):
-            return super().select_victims(store, needed_mb, protect, for_prefetch)
-        victims: list[BlockId] = []
-        freed = 0.0
-        is_pinned = store.is_pinned
-        block = store.block
-        for _, bid in order:
-            if freed >= needed_mb:
-                break
-            if bid in protect or is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += block(bid).size_mb
-        if freed >= needed_mb:
-            return victims
-        return None
-
-    def select_victims_batch(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None | BatchUnsupported:
-        st = self._store
-        if st is None or st is not store or self._distances is None:
-            # No delivered table snapshot: distances come live from the
-            # shared manager and can drift without a broadcast to dirty
-            # the key column, so only the object walk is safe.
-            return BATCH_UNSUPPORTED
-        st.ensure_columns()
-        if self._keys_dirty:
-            self._refresh_keys()
-        cols = st.columns()
-        # Primary: negated distance (largest distance first).  Tie
-        # columns mirror ``_evict_key``'s tail, ending in the id
-        # columns so the composite order is total.
-        ties: tuple
-        if self.tie_breaker == "size":
-            ties = (-cols.rdd, -cols.part, -cols.size)
-        elif self.tie_breaker == "creation":
-            ties = (-cols.part, -cols.rdd)
-        else:  # "partition"
-            ties = (-cols.rdd, -cols.part)
-        return select_block_victims(st, cols, needed_mb, protect, cols.key, ties)
+    def _order_ids(self) -> Iterable[BlockId]:
+        return self._sizes
 
     def report_cache_status(
         self, store: MemoryStore, hit_ratio: float | None

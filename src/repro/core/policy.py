@@ -23,13 +23,12 @@ from repro.core.app_profiler import AppProfiler, ProfileStore
 from repro.core.cache_monitor import CacheMonitor, MrdTableView
 from repro.core.manager import MrdConfig, MrdManager
 from repro.dag.dag_builder import ApplicationDAG
-from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
+from repro.policies.base import EvictionPolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.scheme import CacheScheme, StageOrders
-from repro.policies.vectorized import select_block_victims
 
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Mapping
+    from collections.abc import Iterable
 
     from repro.cluster.block import Block, BlockId
     from repro.cluster.memory_store import MemoryStore
@@ -51,41 +50,23 @@ class PrefetchAwareLruPolicy(MrdTableView, LruPolicy):
 
     name = "LRU+MRD-prefetch"
 
+    #: Demand pressure keeps LRU's recency walk.
+    _order_serves_demand = False
+
     def __init__(self, manager: MrdManager) -> None:
         super().__init__()
         self._manager = manager
-        #: Aux column (negated distance) lags the view until the first
-        #: batched prefetch selection (and again after each accepted
-        #: broadcast) refreshes it — per-insert aux writes only resume
-        #: once a refresh proved the column is actually consulted.
-        self._aux_dirty = True
 
     def _live_distance(self, rdd_id: int) -> float:
         return self._manager.distance(rdd_id)
 
     def on_insert(self, block: Block) -> None:
         super().on_insert(block)
-        if self._store is not None and not self._aux_dirty:
-            self._store.set_aux(block.id, -self.lookup_distance(block.id.rdd_id))
+        self._order_insert(block.id)
 
-    def on_table_update(self, seq: int, distances: Mapping[int, float]) -> bool:
-        applied = super().on_table_update(seq, distances)
-        if applied:
-            self._aux_dirty = True
-        return applied
-
-    def _refresh_aux(self) -> None:
-        """Rewrite this policy's aux-column entries from the held view."""
-        store = self._store
-        assert store is not None
-        self._aux_dirty = False
-        keys: dict[int, float] = {}
-        for bid in self._recency:
-            key = keys.get(bid.rdd_id)
-            if key is None:
-                key = -self.lookup_distance(bid.rdd_id)
-                keys[bid.rdd_id] = key
-            store.set_aux(bid, key)
+    def on_remove(self, block_id: BlockId) -> None:
+        self._order_remove(block_id)
+        super().on_remove(block_id)
 
     def prefetch_eviction_order(self, store: MemoryStore):
         return iter(sorted(store.block_ids(), key=self._distance_key))
@@ -97,31 +78,11 @@ class PrefetchAwareLruPolicy(MrdTableView, LruPolicy):
     def _distance_key(self, bid: BlockId) -> tuple[float, int, int]:
         return (-self.lookup_distance(bid.rdd_id), -bid.partition, -bid.rdd_id)
 
-    def select_victims_batch(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None | BatchUnsupported:
-        if not for_prefetch:
-            # Demand pressure: plain LRU recency batch.
-            return super().select_victims_batch(store, needed_mb, protect)
-        st = self._store
-        if st is None or st is not store or self._distances is None:
-            # Without a delivered snapshot distances come live from the
-            # manager and can drift without a broadcast to dirty the aux
-            # column — only the object walk is safe.
-            return BATCH_UNSUPPORTED
-        st.ensure_columns()
-        if self._aux_dirty:
-            self._refresh_aux()
-        cols = st.columns()
-        # Primary: negated distance; id columns close the total order
-        # mirroring ``_distance_key``'s ``(-dist, -part, -rdd)``.
-        return select_block_victims(
-            st, cols, needed_mb, protect, cols.aux, (-cols.rdd, -cols.part)
-        )
+    #: Prefetch selections walk the distance order.
+    _order_key = _distance_key
+
+    def _order_ids(self) -> Iterable[BlockId]:
+        return self._recency
 
 
 class MrdScheme(CacheScheme):

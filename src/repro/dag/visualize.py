@@ -9,19 +9,25 @@ Two views, matching the paper's Figure 1:
 
 ``to_dot`` output renders with any Graphviz install; the networkx
 graphs support programmatic analysis (the property tests use them for
-acyclicity checks).
+acyclicity checks).  networkx is imported only when one of those
+graphs is built, so importing :mod:`repro.dag` does not load it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.dag.dag_builder import ApplicationDAG
 from repro.dag.rdd import NarrowDependency, RDD
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import networkx as nx
+
 
 def lineage_graph(dag: ApplicationDAG) -> nx.DiGraph:
     """RDD lineage as a directed graph (parent → child edges)."""
+    import networkx as nx
+
     g = nx.DiGraph()
     for rdd in dag.app.rdds:
         g.add_node(
@@ -40,6 +46,8 @@ def lineage_graph(dag: ApplicationDAG) -> nx.DiGraph:
 
 def stage_graph(dag: ApplicationDAG) -> nx.DiGraph:
     """Stage dependency graph (parent stage → child stage)."""
+    import networkx as nx
+
     g = nx.DiGraph()
     for stage in dag.stages:
         g.add_node(

@@ -10,9 +10,9 @@ ordering holds.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.dag.analysis import distance_stats, workload_characteristics
 from repro.experiments import fig4
@@ -33,16 +33,14 @@ class CorrelationResult:
 
 def _linfit_r2(x: list[float], y: list[float]) -> tuple[float, float]:
     """Least-squares slope and R² of y against x."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if len(xa) < 2 or np.allclose(xa, xa[0]):
+    if len(x) < 2 or all(math.isclose(v, x[0], rel_tol=1e-5, abs_tol=1e-8) for v in x):
         return 0.0, 0.0
-    slope, intercept = np.polyfit(xa, ya, 1)
-    pred = slope * xa + intercept
-    ss_res = float(np.sum((ya - pred) ** 2))
-    ss_tot = float(np.sum((ya - ya.mean()) ** 2))
+    slope, intercept = statistics.linear_regression(x, y)
+    mean_y = statistics.fmean(y)
+    ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    ss_tot = sum((yi - mean_y) ** 2 for yi in y)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), r2
+    return slope, r2
 
 
 def run(fig4_rows: list[fig4.Fig4Row] | None = None) -> CorrelationResult:

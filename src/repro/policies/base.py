@@ -17,28 +17,9 @@ import abc
 from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING
 
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.block import Block, BlockId
     from repro.cluster.memory_store import MemoryStore
-
-
-class BatchUnsupported:
-    """Sentinel: the policy cannot answer this selection in batch.
-
-    Distinct from ``None`` (a *refusal*: the evictable blocks cannot
-    cover the request) — receiving this sentinel means the caller must
-    fall back to the per-object reference walk.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "BATCH_UNSUPPORTED"
-
-
-#: Shared sentinel returned by :meth:`EvictionPolicy.select_victims_batch`.
-BATCH_UNSUPPORTED = BatchUnsupported()
 
 
 class EvictionPolicy(abc.ABC):
@@ -46,19 +27,6 @@ class EvictionPolicy(abc.ABC):
 
     #: Human-readable policy name used in reports and figures.
     name: str = "base"
-
-    #: Columnar store this policy keeps key columns on (None = object path).
-    _store: MemoryStore | None = None
-
-    def bind_store(self, store: MemoryStore) -> None:
-        """The store this policy manages was constructed.
-
-        Vectorized policies remember columnar stores so their
-        ``on_insert``/``on_access`` hooks can maintain the store's key
-        columns; a non-columnar store leaves the policy on the
-        per-object reference path.
-        """
-        self._store = store if store.columnar else None
 
     @abc.abstractmethod
     def on_insert(self, block: Block) -> None:
@@ -138,64 +106,44 @@ class EvictionPolicy(abc.ABC):
         evictable blocks cannot cover the request (the caller then
         refuses the insertion, like Spark's ``MemoryStore``).
 
-        Policies that maintain key columns on a columnar store answer
-        via :meth:`select_victims_batch` first; this walk is the
-        executable reference spec the batch path must match
-        byte-for-byte, and the fallback whenever batching is
-        unsupported for the given store.
-        """
-        batched = self.select_victims_batch(store, needed_mb, protect, for_prefetch)
-        if not isinstance(batched, BatchUnsupported):
-            return batched
-        return self._select_victims_walk(store, needed_mb, protect, for_prefetch)
-
-    def _select_victims_walk(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None:
-        """The per-object reference walk, without the batch attempt.
-
-        Policies whose batch path loses to the object sort on small
-        stores call this directly below their engagement threshold.
+        Policies that keep their order maintained between selections
+        (LRU's recency queue, the distance policies' sorted order) feed
+        it to :func:`take_victims` directly; the result must equal this
+        walk over the public order.
         """
         order = (
             self.prefetch_eviction_order(store)
             if for_prefetch
             else self.eviction_order(store)
         )
-        victims: list[BlockId] = []
-        freed = 0.0
-        for bid in order:
-            if freed >= needed_mb:
-                break
-            if bid in protect or store.is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += store.block(bid).size_mb
+        return take_victims(order, store, needed_mb, protect)
+
+
+def take_victims(
+    order: Iterable[BlockId],
+    store: MemoryStore,
+    needed_mb: float,
+    protect: frozenset[BlockId],
+) -> list[BlockId] | None:
+    """Leading evictable blocks of ``order`` that free ``needed_mb``.
+
+    Skips pinned and protected blocks; ``None`` when the whole order
+    cannot cover the request.
+    """
+    victims: list[BlockId] = []
+    freed = 0.0
+    is_pinned = store.is_pinned
+    block = store.block
+    for bid in order:
         if freed >= needed_mb:
-            return victims
-        return None
-
-    def select_victims_batch(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None | BatchUnsupported:
-        """Vectorized victim selection over the store's columns.
-
-        Policies with a key column override this to select victims via
-        :mod:`repro.policies.vectorized`; the result must be
-        byte-identical to :meth:`select_victims`'s reference walk.
-        Return :data:`BATCH_UNSUPPORTED` (the default) to fall back to
-        the per-object path — e.g. when ``store`` is not the bound
-        columnar store (a tenant view) or required keys are missing.
-        """
-        return BATCH_UNSUPPORTED
+            break
+        if bid in protect or is_pinned(bid):
+            continue
+        victims.append(bid)
+        freed += block(bid).size_mb
+    if freed >= needed_mb:
+        return victims
+    return None
 
 
 PolicyFactory = Callable[[int], EvictionPolicy]

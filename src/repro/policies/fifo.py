@@ -6,8 +6,7 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
-from repro.policies.vectorized import select_block_victims
+from repro.policies.base import EvictionPolicy, take_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.block import Block, BlockId
@@ -15,50 +14,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FifoPolicy(EvictionPolicy):
-    """Evicts in insertion order, ignoring accesses entirely.
-
-    On a columnar store the queue position is mirrored into the store's
-    key column as an arrival stamp (written once, on first sighting), so
-    large stores can select victims in batch.
-    """
+    """Evicts in insertion order, ignoring accesses entirely."""
 
     name = "FIFO"
 
-    #: Below this store size the in-order queue walk beats the numpy
-    #: kernel's fixed overhead, so batch selection only engages above it.
-    batch_min_blocks = 512
-
     def __init__(self) -> None:
         self._queue: OrderedDict[BlockId, None] = OrderedDict()
-        self._stamp = 0
-        #: Whether the key column mirrors ``_queue``; see LruPolicy.
-        self._keys_valid = False
-
-    def _enqueue(self, block_id: BlockId) -> None:
-        self._queue[block_id] = None
-        if self._keys_valid and (st := self._store) is not None:
-            self._stamp += 1
-            st.set_key(block_id, float(self._stamp))
-
-    def _rebuild_keys(self) -> None:
-        """Stamp every queued block in arrival order (oldest first)."""
-        st = self._store
-        assert st is not None
-        stamp = self._stamp
-        for bid in self._queue:
-            stamp += 1
-            st.set_key(bid, float(stamp))
-        self._stamp = stamp
-        self._keys_valid = True
 
     def on_insert(self, block: Block) -> None:
         if block.id not in self._queue:
-            self._enqueue(block.id)
+            self._queue[block.id] = None
 
     def on_access(self, block: Block) -> None:
         # FIFO deliberately ignores accesses.
         if block.id not in self._queue:
-            self._enqueue(block.id)
+            self._queue[block.id] = None
 
     def on_remove(self, block_id: BlockId) -> None:
         self._queue.pop(block_id, None)
@@ -73,43 +43,7 @@ class FifoPolicy(EvictionPolicy):
         protect: frozenset[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
-        """Reference walk without the list copy; batch on large stores."""
+        """Walk the arrival queue in place (no per-selection copy)."""
         if for_prefetch:
             return super().select_victims(store, needed_mb, protect, for_prefetch)
-        if len(self._queue) >= self.batch_min_blocks:
-            batched = self.select_victims_batch(store, needed_mb, protect)
-            if not isinstance(batched, BatchUnsupported):
-                return batched
-        victims: list[BlockId] = []
-        freed = 0.0
-        is_pinned = store.is_pinned
-        block = store.block
-        for bid in self._queue:
-            if freed >= needed_mb:
-                break
-            if bid in protect or is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += block(bid).size_mb
-        if freed >= needed_mb:
-            return victims
-        return None
-
-    def select_victims_batch(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None | BatchUnsupported:
-        st = self._store
-        if st is None or st is not store:
-            return BATCH_UNSUPPORTED
-        st.ensure_columns()
-        if not self._keys_valid:
-            self._rebuild_keys()
-        cols = st.columns()
-        # Primary: arrival stamp (unique); id columns close the total order.
-        return select_block_victims(
-            st, cols, needed_mb, protect, cols.key, (cols.part, cols.rdd)
-        )
+        return take_victims(self._queue, store, needed_mb, protect)

@@ -6,8 +6,7 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
-from repro.policies.vectorized import select_block_victims
+from repro.policies.base import EvictionPolicy, take_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.block import Block, BlockId
@@ -20,54 +19,22 @@ class LruPolicy(EvictionPolicy):
     Implemented with an ordered dict used as a recency queue: most
     recently touched block at the back, victim taken from the front —
     the same structure Spark's ``MemoryStore`` LinkedHashMap provides.
-    On a columnar store the recency rank is mirrored into the store's
-    key column as a monotonic touch stamp, so large stores can select
-    victims in batch (oldest stamp first).
     """
 
     name = "LRU"
 
-    #: Below this store size the in-order queue walk beats the numpy
-    #: kernel's fixed overhead, so batch selection only engages above it.
-    batch_min_blocks = 512
-
     def __init__(self) -> None:
         self._recency: OrderedDict[BlockId, None] = OrderedDict()
-        self._stamp = 0
-        #: Whether the store's key column currently mirrors ``_recency``.
-        #: Starts False — per-touch stamp writes are pure overhead while
-        #: the store is small enough for the queue walk — and flips True
-        #: on the first batch selection, which rebuilds the column from
-        #: the queue; maintenance then keeps it current.
-        self._keys_valid = False
-
-    def _touch(self, block_id: BlockId) -> None:
-        if self._keys_valid and (st := self._store) is not None:
-            self._stamp += 1
-            st.set_key(block_id, float(self._stamp))
-
-    def _rebuild_keys(self) -> None:
-        """Stamp every queued block in recency order (oldest first)."""
-        st = self._store
-        assert st is not None
-        stamp = self._stamp
-        for bid in self._recency:
-            stamp += 1
-            st.set_key(bid, float(stamp))
-        self._stamp = stamp
-        self._keys_valid = True
 
     def on_insert(self, block: Block) -> None:
         self._recency[block.id] = None
         self._recency.move_to_end(block.id)
-        self._touch(block.id)
 
     def on_access(self, block: Block) -> None:
         if block.id in self._recency:
             self._recency.move_to_end(block.id)
         else:  # defensive: access to a block the policy never saw inserted
             self._recency[block.id] = None
-        self._touch(block.id)
 
     def on_remove(self, block_id: BlockId) -> None:
         self._recency.pop(block_id, None)
@@ -83,48 +50,12 @@ class LruPolicy(EvictionPolicy):
         protect: frozenset[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
-        """Reference walk without the list copy; batch on large stores.
+        """Walk the recency queue in place (no per-selection copy).
 
         Prefetch-triggered selections go through the base path so
-        subclasses overriding ``prefetch_eviction_order`` (and its batch
-        counterpart) keep their distinct prefetch victim order.
+        subclasses overriding ``prefetch_eviction_order`` keep their
+        distinct prefetch victim order.
         """
         if for_prefetch:
             return super().select_victims(store, needed_mb, protect, for_prefetch)
-        if len(self._recency) >= self.batch_min_blocks:
-            batched = self.select_victims_batch(store, needed_mb, protect)
-            if not isinstance(batched, BatchUnsupported):
-                return batched
-        victims: list[BlockId] = []
-        freed = 0.0
-        is_pinned = store.is_pinned
-        block = store.block
-        for bid in self._recency:
-            if freed >= needed_mb:
-                break
-            if bid in protect or is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += block(bid).size_mb
-        if freed >= needed_mb:
-            return victims
-        return None
-
-    def select_victims_batch(
-        self,
-        store: MemoryStore,
-        needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
-        for_prefetch: bool = False,
-    ) -> list[BlockId] | None | BatchUnsupported:
-        st = self._store
-        if st is None or st is not store:
-            return BATCH_UNSUPPORTED
-        st.ensure_columns()
-        if not self._keys_valid:
-            self._rebuild_keys()
-        cols = st.columns()
-        # Primary: touch stamp (unique); id columns close the total order.
-        return select_block_victims(
-            st, cols, needed_mb, protect, cols.key, (cols.part, cols.rdd)
-        )
+        return take_victims(self._recency, store, needed_mb, protect)

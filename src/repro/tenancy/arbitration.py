@@ -292,21 +292,6 @@ class ArbitratedNodePolicy(EvictionPolicy):
         self.arbitration = arbitration
         #: app_index -> tenant, in registration (= arrival) order.
         self._tenants: dict[int, _Tenant] = {}
-        #: The shared store this composite manages (columnar or not),
-        #: remembered so late-arriving tenants can be bound to it.
-        self._raw_store: MemoryStore | None = None
-
-    def bind_store(self, store: MemoryStore) -> None:
-        """Bind the shared store and forward it to every tenant policy.
-
-        Tenant policies maintain key columns on the shared columnar
-        store for their own blocks; the single-tenant fast path then
-        selects victims in batch exactly like a standalone node.
-        """
-        super().bind_store(store)
-        self._raw_store = store
-        for tenant in self._tenants.values():
-            tenant.policy.bind_store(store)
 
     # ------------------------------------------------------------------
     # tenant lifecycle (driven by the multi-tenant engine)
@@ -322,8 +307,6 @@ class ArbitratedNodePolicy(EvictionPolicy):
             raise ValueError(f"application {app_index} already registered")
         if share <= 0:
             raise ValueError("share must be positive")
-        if self._raw_store is not None:
-            policy.bind_store(self._raw_store)
         self._tenants[app_index] = _Tenant(
             policy, share, distance_of if distance_of is not None else _no_distance
         )

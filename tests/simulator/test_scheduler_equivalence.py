@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.memory_store import store_mode
 from repro.control.plane import RpcConfig
 from repro.dag.dag_builder import build_dag
 from repro.experiments.harness import build_workload_dag, cache_mb_for
@@ -136,65 +135,6 @@ def test_rpc_at_zero_matches_instant(workload, scheme_name):
             control_plane="rpc", control_config=RpcConfig(latency_s=0.0),
         ))
         assert rpc == instant
-
-
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
-def test_columnar_store_matches_object_store(scheme_name):
-    """The columnar block store is an acceleration index only: both
-    store modes, on both scheduler cores, one fingerprint."""
-    dag = build_workload_dag("KM", partitions=8)
-    cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
-    fps = set()
-    for scheduler in SCHEDULERS:
-        for columnar in (True, False):
-            with store_mode(columnar):
-                fps.add(fingerprint(simulate(
-                    dag, cfg, build_scheme(scheme_name), scheduler=scheduler
-                )))
-    assert len(fps) == 1
-
-
-@pytest.mark.parametrize("scheme_name", ["lru", "mrd"])
-def test_cache_bound_profile_equivalent_across_store_modes(scheme_name):
-    """The benchmark's cache-bound profile (severely undersized cache):
-    eviction, purge and prefetch churn all flow through the columnar
-    fast paths, and the metrics must not move by a bit."""
-    from repro.bench.engine_bench import BenchConfig, build_bench_dag
-
-    bench = BenchConfig(min_tasks=600, num_nodes=8, repeats=1)
-    dag = build_bench_dag(bench, "cache")
-    cfg = bench.cluster().with_cache(40.0)
-    fps = set()
-    for scheduler in SCHEDULERS:
-        for columnar in (True, False):
-            with store_mode(columnar):
-                fps.add(fingerprint(simulate(
-                    dag, cfg, build_scheme(scheme_name), scheduler=scheduler
-                )))
-    assert len(fps) == 1
-
-
-def test_tenancy_route_equivalent_across_store_modes():
-    """Shared-cluster runs (ArbitratedNodePolicy + tenant store views)
-    take the batch-unsupported fallbacks; both store modes must agree
-    per app and on the makespan."""
-    from repro.tenancy import AppSpec, FixedArrivals, MultiTenantSimulator
-
-    specs = [
-        AppSpec(workload="KM", scheme="MRD", partitions=8),
-        AppSpec(workload="PR", scheme="LRU", partitions=8),
-    ]
-    results = set()
-    for columnar in (True, False):
-        with store_mode(columnar):
-            mt = MultiTenantSimulator(
-                specs, CLUSTER.with_cache(30.0),
-                arrivals=FixedArrivals(interval=5.0),
-            ).run()
-        results.add(
-            (mt.makespan, tuple(fingerprint(app) for app in mt.apps))
-        )
-    assert len(results) == 1
 
 
 def test_unknown_scheduler_rejected():

@@ -7,6 +7,10 @@ importable from the documented locations.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,9 +75,29 @@ def test_paper_vocabulary_importable():
 
 
 def test_version_matches_pyproject():
-    import pathlib
-
     import repro
 
     pyproject = pathlib.Path(repro.__file__).parents[2] / "pyproject.toml"
     assert f'version = "{repro.__version__}"' in pyproject.read_text()
+
+
+def test_runtime_imports_skip_numpy_and_networkx():
+    """Running the simulator, the tenancy layer or the report loads
+    neither numpy nor networkx (networkx only backs the optional DAG
+    graph exports, imported when one is built)."""
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = (
+        "import sys\n"
+        "import repro.experiments.report, repro.simulator.engine, repro.tenancy.engine\n"
+        "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
