@@ -44,6 +44,10 @@ def fingerprint(m: RunMetrics) -> tuple:
         tuple((r.seq, r.start, r.end, r.num_tasks) for r in m.stage_records),
         m.control.delivered, m.control.dropped, m.control.stale_orders,
         m.control.orders_applied,
+        m.nodes_joined, m.nodes_decommissioned,
+        m.rebalanced_blocks, m.rebalanced_mb,
+        m.decommission_dropped_blocks,
+        tuple(m.per_node_presence),
     )
 
 
