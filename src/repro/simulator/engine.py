@@ -17,17 +17,23 @@ pluggable :class:`CacheScheme`:
   computation is exactly the mechanism the paper credits for MRD's
   prefetching gains.
 
-Two interchangeable scheduling cores implement the start-time order
-(see ``docs/performance.md``):
+Two schedulers implement the start-time order (see
+``docs/performance.md``):
 
-* ``"event"`` (default) — one global heap of ``(slot_free_time,
-  node_id)`` entries plus a time-ordered prefetch-completion heap;
+* ``"event"`` (default) — the run is the one-application case of the
+  global-heap :class:`~repro.simulator.loop.SlotLoop` the multi-tenant
+  engine also runs on, plus a time-ordered prefetch-completion heap;
   O(log slots) per task and O(log inflight) per completion.
-* ``"reference"`` — the original loops (a ``min()`` over every node per
-  task, a scan of every manager's in-flight dict per task), kept as the
-  executable specification: the equivalence suite asserts both cores
-  produce identical :class:`RunMetrics` on every registered workload,
-  and the ``repro bench`` harness measures the speedup between them.
+* ``"reference"`` — the original per-stage loop (a ``min()`` over every
+  node per task, a scan of every manager's in-flight dict per task),
+  kept as the executable specification: the equivalence suite asserts
+  both produce identical :class:`RunMetrics` on every registered
+  workload, and the ``repro bench`` harness measures the speedup
+  between them.
+
+Membership changes (joins, decommissions) go through the loop in both
+cases: it owns the node-level step, and each application runs the
+per-app join/decommission bodies defined here.
 
 Every driver↔worker interaction — purge orders, prefetch orders, table
 broadcasts, cache-status reports, worker (de)registration — travels
@@ -78,6 +84,7 @@ from repro.simulator.failures import (
     NodeDecommission,
     NodeJoin,
 )
+from repro.simulator.loop import SlotLoop
 from repro.simulator.metrics import RunMetrics, StageRecord
 from repro.trace.events import (
     BlockMigrate,
@@ -214,22 +221,30 @@ class SparkSimulator:
         self._decommission_dropped = 0
         self._live_since: list[float] = []
         self._live_time: list[float] = []
+        #: The slot loop running this application (owns membership).
+        self._loop: SlotLoop | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> RunMetrics:
         """Simulate the whole application; returns the collected metrics."""
-        self._start_run(0.0)
+        loop = SlotLoop([self], self._make_worker)
+        if self.scheduler == "event":
+            loop.run([0.0])
+            metrics = loop.apps[0].metrics
+            assert metrics is not None
+            return metrics
+        # The reference scheduler: the executable spec, stage by stage.
+        loop.admit(loop.apps[0], 0.0)
         now = 0.0
         for stage in self.dag.active_stages:
             self._begin_stage(stage, now)
             start = now
-            now = self._run_stage(stage, start)
-            self._record_stage(stage, start, now)
+            now = self._run_stage_reference(stage, start)
+            self._end_stage(stage, start, now)
         return self._finish_run(now)
 
     # ------------------------------------------------------------------
-    # run lifecycle (each phase is reusable: the multi-tenant engine
-    # drives per-app copies of these around its own global event loop)
+    # run lifecycle (each phase is driven by the slot loop, per app)
     # ------------------------------------------------------------------
     def _start_run(self, now: float) -> None:
         """(Re)initialize per-run state; ``now`` is the application's
@@ -251,7 +266,8 @@ class SparkSimulator:
         self._plan_stage = None
         self._plan = None
         self._plan_cache = {}
-        self._membership_changed = False
+        # A late tenant's master starts without the nodes already gone.
+        self._membership_changed = self.cluster.master.epoch > 0
         self._nodes_joined = 0
         self._nodes_decommissioned = 0
         self._rebalanced_blocks = 0
@@ -260,13 +276,7 @@ class SparkSimulator:
         self._live_since = [now] * self.cluster.num_nodes
         self._live_time = [0.0] * self.cluster.num_nodes
         for mgr in self.cluster.master.managers:
-            # Eviction trace events resolve reference distances through
-            # the scheme owning this manager's blocks (correct per-app
-            # tables under tenancy, where each app has its own managers).
-            mgr.distance_source = self.scheme.reference_distance
-        if rec.enabled:
-            for mgr in self.cluster.master.managers:
-                mgr.recorder = rec
+            self._adopt_manager(mgr)
         control = self.control
         control.reset()
         control.recorder = rec
@@ -288,8 +298,17 @@ class SparkSimulator:
         )
 
     def _make_worker(self, node_id: int) -> WorkerNode:
-        """Node for an elastic join (tenancy overrides the policy)."""
+        """Node for an elastic join of a standalone run."""
         return make_worker(self.cluster_config, node_id, self.scheme.policy_factory)
+
+    def _adopt_manager(self, mgr: BlockManager) -> None:
+        """Wire one of this application's block managers to the run."""
+        # Eviction trace events resolve reference distances through the
+        # scheme owning this manager's blocks (correct per-app tables
+        # under tenancy, where each app has its own managers).
+        mgr.distance_source = self.scheme.reference_distance
+        if self.recorder.enabled:
+            mgr.recorder = self.recorder
 
     def _register_workers(self, now: float) -> None:
         # Initial worker registration is synchronous on every plane:
@@ -355,7 +374,10 @@ class SparkSimulator:
         orders = self.scheme.on_stage_start(stage.seq, self.cluster)
         self._dispatch_stage_orders(stage.seq, orders, now)
 
-    def _record_stage(self, stage: Stage, start: float, end: float) -> None:
+    def _end_stage(self, stage: Stage, start: float, end: float) -> None:
+        """The stage barrier: its cached RDDs exist, its record is kept."""
+        for rdd in stage.cache_writes:
+            self.scheme.on_block_created(rdd.id)
         rec = self.recorder
         if rec.enabled:
             rec.now = end
@@ -445,69 +467,60 @@ class SparkSimulator:
                 events.append(NodeJoin(at_seq=stage.seq))
             elif action == "decommission":
                 events.append(NodeDecommission(at_seq=stage.seq))
+        loop = self._loop
+        assert loop is not None
         for event in events:
             if isinstance(event, NodeJoin):
-                self._join_node(event.node_id, now)
+                loop.join_node(event.node_id, now)
             else:
-                self._decommission_node(event.node_id, now)
-        if events:
-            # Placement may have moved: drop the current-stage plan memo.
-            self._plan_stage = None
-            self._plan = None
+                loop.decommission_node(event.node_id, now)
 
-    def _join_node(self, node_id: int | None, now: float) -> None:
-        """Grow the live set; the node registers through the §4.4 path."""
+    def _join_node(self, node: WorkerNode, now: float) -> None:
+        """This application's half of a join (the loop chose the node):
+        grow its live set; the node registers through the §4.4 path."""
         assert self.cluster is not None
         master = self.cluster.master
-        if node_id is None:
-            node_id = master.num_nodes
-        if node_id < master.num_nodes:
-            if master.is_live(node_id):
-                return  # pinned join of a live node: nothing to do
-            node = self.cluster.nodes[node_id]  # a decommissioned slot rejoins
-        else:
-            node = self._make_worker(node_id)
         mgr = master.add_node(node)
-        mgr.distance_source = self.scheme.reference_distance
-        rec = self.recorder
-        if rec.enabled:
-            mgr.recorder = rec
+        self._adopt_manager(mgr)
         while len(self._live_time) < master.num_nodes:
             self._live_time.append(0.0)
             self._live_since.append(now)
-        self._live_since[node_id] = now
+        self._live_since[node.node_id] = now
         self._membership_changed = True
         self._nodes_joined += 1
+        # Placement may have moved: drop the current-stage plan memo.
+        self._plan_stage = None
+        self._plan = None
         # On (possibly delayed) delivery the driver re-issues the current
         # distance table to the new worker, exactly like a replacement.
         self.control.send(
             WorkerRegister(
-                sent_at=now, node_id=node_id, reason="join", app_id=self.app_id
+                sent_at=now, node_id=node.node_id, reason="join", app_id=self.app_id
             ),
             self._deliver_register,
         )
 
-    def _decommission_node(self, node_id: int | None, now: float) -> None:
-        """Shrink the live set, rebalancing the node's cache on the way
-        out: the run's :class:`RebalancePolicy` picks which resident
-        blocks are worth copying to their new homes (priced through the
-        destination's storage channel), the rest die with the node."""
+    def _resident_blocks(self, node: WorkerNode) -> list[Block]:
+        """This application's blocks in ``node``'s memory (all of them
+        standalone; tenancy narrows to the app's RDD namespace)."""
+        return list(node.memory.blocks())
+
+    def _decommission_node(self, node_id: int, now: float) -> None:
+        """This application's half of a decommission: shrink its live
+        set, rebalancing its resident blocks on the way out.  The run's
+        :class:`RebalancePolicy` picks which are worth copying to their
+        new homes (priced through the destination's storage channel);
+        the rest die with the node when the loop wipes its stores."""
         assert self.cluster is not None
         master = self.cluster.master
-        live = master.live_node_ids
-        if node_id is None:
-            node_id = live[-1]  # autoscaler shape: shed the newest node
-        if not master.is_live(node_id) or len(live) <= 1:
-            return  # already gone, or the last live node must stay
         mgr = master.managers[node_id]
-        node = mgr.node
         rec = self.recorder
         if rec.enabled:
             rec.now = now
         # In-flight prefetches die with the node.
         for bid in list(mgr.inflight_prefetch):
             mgr.cancel_inflight(bid, reason="decommissioned")
-        resident = list(node.memory.blocks())
+        resident = self._resident_blocks(mgr.node)
         master.decommission_node(node_id)  # placement now excludes the node
         selected = self.rebalance.select(
             resident, lambda b: self.scheme.reference_distance(b.id.rdd_id)
@@ -532,15 +545,11 @@ class SparkSimulator:
                     from_node=node_id, to_node=dest_id, size_mb=block.size_mb,
                 ))
         self._decommission_dropped += len(resident) - len(selected)
-        # The node's stores leave with it.
-        for bid in list(node.memory.block_ids()):
-            node.memory.remove(bid)
-        for bid in list(node.disk.block_ids()):
-            node.disk.remove(bid)
-        node.io_free_at = 0.0
         self._live_time[node_id] += now - self._live_since[node_id]
         self._membership_changed = True
         self._nodes_decommissioned += 1
+        self._plan_stage = None
+        self._plan = None
         self.control.send(
             WorkerDeregister(
                 sent_at=now, node_id=node_id,
@@ -571,87 +580,6 @@ class SparkSimulator:
         for p in range(stage.num_tasks):
             pending[master.task_node_id(p)].append(p)
         return pending
-
-    def _run_stage(self, stage: Stage, start: float) -> float:
-        assert self.cluster is not None
-        stage_end = (
-            self._run_stage_reference(stage, start)
-            if self.scheduler == "reference"
-            else self._run_stage_event(stage, start)
-        )
-        for rdd in stage.cache_writes:
-            self.scheme.on_block_created(rdd.id)
-        return stage_end
-
-    def _run_stage_event(self, stage: Stage, start: float) -> float:
-        """Event-queue core: one global heap of free executor slots.
-
-        Each entry is ``(free_time, node_id)``; tuple order makes ties
-        resolve to the lowest node id, matching the reference core's
-        ``min()`` scan.  Slots of nodes whose task queue has drained are
-        retired lazily on pop — task placement is fixed up front, so a
-        drained queue never refills within the stage.  O(log slots) per
-        task instead of O(nodes).
-
-        A popped slot *runs until preempted*: after each task it keeps
-        executing its node's next task at ``t_end`` unless another slot
-        in the heap is strictly earlier (or ties with a lower node id,
-        which the heap order would schedule first).  Same-stage
-        completions on one slot thus batch through the core in one step
-        — no push/pop per task — while preserving the reference core's
-        global start-time order exactly.
-        """
-        per_node_fixed = self._stage_costs(stage)
-        pending = self._pending_by_node(stage)
-        ready: list[tuple[float, int]] = [
-            (start, node_id)
-            for node_id, node in enumerate(self.cluster.nodes)
-            if pending[node_id]
-            for _ in range(node.num_slots)
-        ]
-        heapq.heapify(ready)
-
-        # Hot loop: bind everything invariant to locals.  The prefetch
-        # and control heaps are stable objects for the whole run (only
-        # mutated in place), so the peek guards replace a method call
-        # per task; the instant plane's heap is permanently empty.
-        heappop, heappush = heapq.heappop, heapq.heappush
-        prefetch_heap = self._prefetch_heap
-        control = self.control
-        control_heap = control.heap
-        run_task = self._run_task
-        stage_end = start
-        remaining = stage.num_tasks
-        while remaining:
-            t0, node_id = heappop(ready)
-            queue = pending[node_id]
-            if not queue:
-                continue  # node drained while this slot was busy: retire it
-            fixed = per_node_fixed[node_id]
-            while True:
-                # Control deliveries first: a delivered prefetch order may
-                # push an already-due completion onto the prefetch heap.
-                if control_heap and control_heap[0][0] <= t0:
-                    control.pump(t0)
-                if prefetch_heap and prefetch_heap[0][0] <= t0:
-                    self._apply_due_prefetches(t0)
-                p = queue.popleft()
-                t_end = run_task(stage, p, node_id, t0, fixed)
-                if t_end > stage_end:
-                    stage_end = t_end
-                remaining -= 1
-                if not queue:
-                    break  # node drained: retire this slot
-                if ready and (
-                    ready[0][0] < t_end
-                    or (ready[0][0] == t_end and ready[0][1] < node_id)
-                ):
-                    # Another slot is scheduled ahead of (t_end, node_id):
-                    # yield to it and requeue this slot.
-                    heappush(ready, (t_end, node_id))
-                    break
-                t0 = t_end
-        return stage_end
 
     def _run_stage_reference(self, stage: Stage, start: float) -> float:
         """Reference core: per-node slot heaps + a ``min()`` over all

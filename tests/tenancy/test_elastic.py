@@ -57,6 +57,21 @@ def test_ctor_rejects_bad_elasticity_config():
         _mt(memberships=[("join", 5.0)])
 
 
+def test_impossible_join_fails_at_construction_naming_the_event():
+    """A pinned join beyond the next free id is rejected up front, with
+    the event's index; the next free id follows fresh joins in time
+    order, not list order."""
+    with pytest.raises(ValueError, match=r"memberships\[1\]: join of node 6"):
+        _mt(memberships=(TimedNodeJoin(at=5.0), TimedNodeJoin(at=1.0, node_id=6)))
+    with pytest.raises(ValueError, match=r"memberships\[0\]: .*next free id is 4"):
+        _mt(memberships=(TimedNodeJoin(at=1.0, node_id=5), TimedNodeJoin(at=5.0)))
+    # Time order: the fresh join at t=1 opens id 4, so id 5 at t=5 extends.
+    _mt(memberships=(TimedNodeJoin(at=5.0, node_id=5), TimedNodeJoin(at=1.0)))
+    # Decommissions never open ids; rejoining an existing slot is fine.
+    _mt(memberships=(TimedNodeDecommission(at=1.0, node_id=2),
+                     TimedNodeJoin(at=2.0, node_id=2)))
+
+
 # ----------------------------------------------------------------------
 # the static guardrail and determinism
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.tenancy import (
     AppSpec,
     ArbitratedNodePolicy,
+    ArrivalProcess,
     FixedArrivals,
     MultiTenantSimulator,
     PoissonArrivals,
@@ -118,6 +119,26 @@ class TestValidation:
     def test_rejects_unknown_arbitration(self):
         with pytest.raises(ValueError, match="unknown arbitration"):
             MultiTenantSimulator(APPS, CLUSTER, arbitration="fifo")
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, 5.0, 2.0], "non-decreasing: app 2 arrives at 2.0, before app 1"),
+        ([0.0, -1.0, 3.0], "non-negative: app 1 arrives at -1.0"),
+        ([0.0, 1.0], "gave 2 times for 3 apps"),
+    ])
+    def test_bad_arrival_times_fail_before_setup(self, monkeypatch, times, message):
+        """Arrival times are checked, with the offending app named,
+        before any application's DAG is built."""
+
+        class Given(ArrivalProcess):
+            def times(self, n: int) -> list[float]:
+                return times[:n]
+
+        def no_build(application):
+            raise AssertionError("a DAG was built before arrivals were checked")
+
+        monkeypatch.setattr("repro.tenancy.engine.build_dag", no_build)
+        with pytest.raises(ValueError, match=message):
+            run(arrivals=Given()).run()
 
     def test_app_driver_run_is_blocked(self):
         sim = run()
