@@ -404,6 +404,7 @@ class SparkSimulator:
         # sent == delivered + dropped and late orders are counted stale.
         self._current_seq = self._last_seq + 1
         self.control.pump(math.inf)
+        self._loop = None  # the run is over; drop the driver <-> loop cycle
         self._apply_unpersists(self._current_job)
         self.scheme.finalize()
         master = self.cluster.master

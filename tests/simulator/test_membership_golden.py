@@ -2,8 +2,9 @@
 
 Both scheduling cores and the tenancy loop call the same join and
 decommission bodies, so the equivalence suites cannot catch a change
-to what those bodies compute.  These tests pin it instead: a sha256
-over the full :func:`fingerprint` of a fixed set of churned runs.
+to what those bodies compute, or to how a retiring node's queued tasks
+are re-homed.  These tests pin it instead: a sha256 over the full
+:func:`fingerprint` of a fixed set of churned runs.
 
 The digests were recorded from the engine as it stood before the
 scheduling loops were unified; a refactor of the membership path must
@@ -33,6 +34,7 @@ from tests.simulator.test_scheduler_equivalence import CLUSTER, fingerprint
 
 STANDALONE_DIGEST = "c1865e903f296df68cf436d4f36ee11e78d2865d4707a324d946697d753810c0"
 TENANCY_DIGEST = "5cbff7ef52404e019d5ffc129c86255628757eb7ecaf102c9cccb57c0e668db4"
+REHOME_DIGEST = "0c5b6958eebfc7eb37d52b4c3e5902006dccdff91a0de0d4765cda62fca438e0"
 
 WORKLOADS = ("KM", "PR", "SVD++")
 SCHEMES = ("lru", "mrd", "mrd-prefetch")
@@ -108,6 +110,30 @@ def tenancy_fingerprint() -> tuple:
     )
 
 
+def rehome_fingerprints() -> list[tuple]:
+    """Two tenants submitted at once on one- and two-slot nodes, so
+    decommissions land on deep task queues and re-home them."""
+    out = []
+    for placement, slots in (("stride", 1), ("rendezvous", 2)):
+        result = MultiTenantSimulator(
+            [
+                AppSpec(workload="KM", scheme="MRD", partitions=32),
+                AppSpec(workload="PR", scheme="MRD-prefetch", partitions=32),
+            ],
+            ClusterConfig(num_nodes=4, slots_per_node=slots, cache_mb_per_node=40.0),
+            arbitration="maxmin",
+            placement=placement,
+            memberships=(
+                TimedNodeDecommission(at=3.0, node_id=1),
+                TimedNodeJoin(at=8.0),
+                TimedNodeDecommission(at=15.0),
+            ),
+            rebalance="migrate",
+        ).run()
+        out.append((result.makespan, tuple(fingerprint(m) for m in result.apps)))
+    return out
+
+
 def test_standalone_membership_path_is_pinned():
     fps = standalone_fingerprints()
     # The churn must actually happen, or the pin guards nothing.
@@ -123,6 +149,11 @@ def test_tenancy_membership_path_is_pinned():
     assert _digest([fp]) == TENANCY_DIGEST
 
 
+def test_rehoming_of_queued_tasks_is_pinned():
+    assert _digest(rehome_fingerprints()) == REHOME_DIGEST
+
+
 if __name__ == "__main__":  # pragma: no cover - re-recording helper
     print("STANDALONE_DIGEST =", repr(_digest(standalone_fingerprints())))
     print("TENANCY_DIGEST =", repr(_digest([tenancy_fingerprint()])))
+    print("REHOME_DIGEST =", repr(_digest(rehome_fingerprints())))
