@@ -9,7 +9,7 @@ aggregates into the paper's reported quantities.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 
 from repro.cluster.block import Block, BlockId
@@ -132,7 +132,7 @@ class BlockManager:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def insert_cached(self, block: Block, protect: frozenset[BlockId] = frozenset()) -> bool:
+    def insert_cached(self, block: Block, protect: Container[BlockId] = frozenset()) -> bool:
         """Cache a newly computed block (write-through to disk).
 
         Returns True if the block made it into memory; either way the
@@ -148,7 +148,7 @@ class BlockManager:
             self._account_evictions(result.evicted, cause="insert")
         return result.stored
 
-    def promote_from_disk(self, block: Block, protect: frozenset[BlockId] = frozenset(), prefetch: bool = False) -> bool:
+    def promote_from_disk(self, block: Block, protect: Container[BlockId] = frozenset(), prefetch: bool = False) -> bool:
         """Bring a disk-resident block back into memory.
 
         Used both by the synchronous miss path (read-through caching)

@@ -9,7 +9,7 @@ freed) is refused rather than partially cached.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -113,13 +113,15 @@ class MemoryStore:
     def put(
         self,
         block: Block,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: Container[BlockId] = frozenset(),
         prefetch: bool = False,
     ) -> PutResult:
         """Insert ``block``, evicting per policy if needed.
 
         ``protect`` lists blocks that must not be chosen as victims even
-        if unpinned (e.g. sibling input blocks of the inserting task).
+        if unpinned (e.g. sibling input blocks of the inserting task); it
+        is only read during the call.  ``block`` itself needs no
+        protection: it is not resident, so no victim order names it.
         ``prefetch`` marks prefetch-triggered insertions, which may use
         a different victim order and admission rule (see
         :meth:`EvictionPolicy.prefetch_eviction_order`).
@@ -134,7 +136,7 @@ class MemoryStore:
         needed = block.size_mb - self.free_mb
         if needed > 0:
             victims = self.policy.select_victims(
-                self, needed, protect | {block.id}, for_prefetch=prefetch
+                self, needed, protect, for_prefetch=prefetch
             )
             if victims is None:
                 return PutResult(stored=False, evicted=[])

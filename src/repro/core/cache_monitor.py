@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -127,7 +127,7 @@ class MrdTableView(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: Container[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Walk the maintained order when it can answer for ``store``.

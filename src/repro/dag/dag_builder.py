@@ -151,14 +151,30 @@ class DagBuilder:
         decision made separately in :meth:`_mark_active`.  Returns the
         result skeleton's id.
         """
-        created: dict[object, int] = {}  # dedupe key -> skeleton id (within job)
+        created: dict[int, int] = {}  # shuffle id -> skeleton id (within job)
 
-        def create(rdd: RDD, shuffle_dep: ShuffleDependency | None) -> int:
-            key: object = shuffle_dep.shuffle_id if shuffle_dep else ("result", rdd.id)
-            if key in created:
-                return created[key]
-            parent_deps = self._frontier_shuffle_deps(rdd, job_id, truncate=False)
-            parent_ids = [create(dep.parent, dep) for dep in parent_deps]
+        # Post-order walk on an explicit stack (lineages run hundreds of
+        # shuffles deep): a frame is (rdd, shuffle dep, parent deps,
+        # parent skeleton ids so far); a frame's skeleton is created once
+        # every parent dep has one, so ids come parents first, in
+        # dependency order.
+        def frame(
+            rdd: RDD, dep: ShuffleDependency | None
+        ) -> tuple[RDD, ShuffleDependency | None, list[ShuffleDependency], list[int]]:
+            return rdd, dep, self._frontier_shuffle_deps(rdd, job_id, truncate=False), []
+
+        stack = [frame(target, None)]
+        while True:
+            rdd, shuffle_dep, parent_deps, parent_ids = stack[-1]
+            if len(parent_ids) < len(parent_deps):
+                dep = parent_deps[len(parent_ids)]
+                existing = created.get(dep.shuffle_id)
+                if existing is None:
+                    stack.append(frame(dep.parent, dep))
+                else:
+                    parent_ids.append(existing)
+                continue
+            stack.pop()
             skel = _StageSkeleton(
                 id=len(self._skeletons),
                 job_id=job_id,
@@ -168,10 +184,10 @@ class DagBuilder:
                 skipped=True,  # flipped by _mark_active for submitted stages
             )
             self._skeletons.append(skel)
-            created[key] = skel.id
-            return skel.id
-
-        return create(target, None)
+            if shuffle_dep is None:  # the result stage closes the walk
+                return skel.id
+            created[shuffle_dep.shuffle_id] = skel.id
+            stack[-1][3].append(skel.id)
 
     def _mark_active(self, result_skel_id: int, job_id: int) -> None:
         """Decide which of the job's stages actually execute.

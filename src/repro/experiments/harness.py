@@ -16,12 +16,24 @@ may map labels to :class:`~repro.sweep.schemes.SchemeSpec` values (the
 standard line-ups do), registry names, or — for ad-hoc experiments —
 arbitrary zero-argument factories, which still run on the in-process
 serial path since they cannot cross a process boundary.
+
+The in-process path simulates each distinct cell once: a
+:class:`CellCache` keys a cell by what determines its simulation (the
+workload parameters, the sized cluster and the scheme spec, never the
+display label), so cache fractions that clamp to :data:`MIN_CACHE_MB`
+and relabelled schemes are served from the first run.  Each call dedupes
+its own grid; inside :func:`cell_cache_scope` (which
+:func:`~repro.experiments.report.generate_report` holds open) every
+sweep shares one cache.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+import json
+from collections.abc import Callable, Hashable, Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 
 from repro.cluster.cluster import ClusterConfig
 from repro.dag.analysis import peak_live_cached_mb
@@ -30,6 +42,7 @@ from repro.policies.scheme import CacheScheme
 from repro.simulator.config import CLUSTERS, MAIN_CLUSTER
 from repro.simulator.engine import simulate
 from repro.simulator.metrics import RunMetrics
+from repro.simulator.reporting import metrics_from_dict, metrics_to_dict
 from repro.sweep.schemes import SchemeSpec, maybe_resolve_scheme
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
@@ -120,6 +133,19 @@ def cache_mb_for(dag: ApplicationDAG, fraction: float, cluster: ClusterConfig) -
     return max(peak * fraction / cluster.num_nodes, MIN_CACHE_MB)
 
 
+def workload_params(
+    scale: float = 1.0,
+    iterations: int | None = None,
+    partitions: int | None = None,
+) -> WorkloadParams:
+    """The :class:`WorkloadParams` a sweep builds its DAG from."""
+    return WorkloadParams(
+        scale=scale,
+        iterations=iterations,
+        partitions=partitions if partitions is not None else WorkloadParams().partitions,
+    )
+
+
 def build_workload_dag(
     workload: str,
     scale: float = 1.0,
@@ -127,12 +153,61 @@ def build_workload_dag(
     partitions: int | None = None,
 ) -> ApplicationDAG:
     """Compile one benchmark workload into its application DAG."""
-    params = WorkloadParams(
-        scale=scale,
-        iterations=iterations,
-        partitions=partitions if partitions is not None else WorkloadParams().partitions,
-    )
+    params = workload_params(scale, iterations, partitions)
     return build_dag(get_workload(workload).build(params))
+
+
+class CellCache:
+    """Finished sweep cells, each simulated once per cache.
+
+    A result is kept only as the JSON text of
+    :func:`~repro.simulator.reporting.metrics_to_dict` (a few KB per
+    cell) and every hit decodes a fresh :class:`RunMetrics`: callers
+    relabel and may mutate what they get, and holding live metrics or
+    DAGs for a whole report would cost far more memory.
+    """
+
+    def __init__(self) -> None:
+        self._blobs: dict[Hashable, str] = {}
+        #: Cells recorded by :meth:`put` and cells served by :meth:`get`.
+        self.simulated = 0
+        self.reused = 0
+
+    def get(self, key: Hashable) -> RunMetrics | None:
+        """A fresh copy of the cell ``key``'s metrics, if it has run."""
+        blob = self._blobs.get(key)
+        if blob is None:
+            return None
+        self.reused += 1
+        return metrics_from_dict(json.loads(blob))
+
+    def put(self, key: Hashable, metrics: RunMetrics) -> RunMetrics:
+        """Record a freshly simulated cell; returns ``metrics`` itself."""
+        self.simulated += 1
+        self._blobs[key] = json.dumps(metrics_to_dict(metrics))
+        return metrics
+
+
+#: The cache every in-process sweep shares while a scope is open.
+_scoped_cells: ContextVar[CellCache | None] = ContextVar("scoped_cells", default=None)
+
+
+@contextmanager
+def cell_cache_scope() -> Iterator[CellCache]:
+    """Share one :class:`CellCache` across every sweep in the block.
+
+    A cell's key is the workload and its :class:`WorkloadParams` (with
+    ``iterations`` resolved to the workload's default), the cluster
+    sized for the cell, and the scheme's :meth:`SchemeSpec.to_dict`.
+    Sweeps over caller-supplied DAGs or with live scheme factories do
+    not use the shared cache, and neither does the runner path.
+    """
+    cells = CellCache()
+    token = _scoped_cells.set(cells)
+    try:
+        yield cells
+    finally:
+        _scoped_cells.reset(token)
 
 
 def _preset_name(cluster: ClusterConfig) -> str | None:
@@ -161,7 +236,9 @@ def sweep_workload(
     are bit-identical to the serial path.  The serial in-process path
     is used when any scheme is a live factory, when a prebuilt ``dag``
     is supplied, or when ``cluster`` is not a named preset — those
-    cannot be described to a worker process.
+    cannot be described to a worker process.  It simulates each
+    distinct cell once (see :class:`CellCache`), sharing cells with the
+    other sweeps of an open :func:`cell_cache_scope`.
 
     ``external=True`` is the distributed path: nothing computes in this
     process — the grid is published into the (mandatory) ``store`` and
@@ -186,11 +263,7 @@ def sweep_workload(
         from repro.sweep.runner import run_cells
         from repro.sweep.spec import CellSpec
 
-        params = WorkloadParams(
-            scale=build_kwargs.get("scale", 1.0),
-            iterations=build_kwargs.get("iterations"),
-            partitions=build_kwargs.get("partitions") or WorkloadParams().partitions,
-        )
+        params = workload_params(**build_kwargs)
         cells = [
             CellSpec(
                 workload=workload,
@@ -226,7 +299,20 @@ def sweep_workload(
             )
         return result
 
-    dag = dag if dag is not None else build_workload_dag(workload, **build_kwargs)
+    # A cell is keyed by what determines its simulation; a caller's DAG
+    # is not described by its parameters, so its cells dedupe only here.
+    cache = CellCache()
+    dag_key: Hashable = None
+    if dag is None:
+        spec_of = get_workload(workload)
+        params = workload_params(**build_kwargs)
+        dag = build_dag(spec_of.build(params))
+        if params.iterations is None:
+            params = replace(params, iterations=spec_of.default_iterations)
+        dag_key = (workload, params)
+        scoped = _scoped_cells.get()
+        if scoped is not None:
+            cache = scoped
     result = SweepResult(
         workload=workload, dag=dag, peak_live_mb=peak_live_cached_mb(dag)
     )
@@ -235,8 +321,15 @@ def sweep_workload(
         config = cluster.with_cache(cache_mb)
         for name, value in schemes.items():
             spec = resolved[name]
-            scheme = spec.build() if spec is not None else value()  # type: ignore[operator]
-            metrics = simulate(dag, config, scheme)
+            if spec is None:
+                metrics = simulate(dag, config, value())  # type: ignore[operator]
+            else:
+                key = (dag_key, config, tuple(spec.to_dict().items()))
+                cached = cache.get(key)
+                metrics = (
+                    cached if cached is not None
+                    else cache.put(key, simulate(dag, config, spec.build()))
+                )
             metrics.scheme = name
             result.runs.append(
                 WorkloadRun(

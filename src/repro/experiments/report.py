@@ -2,14 +2,17 @@
 
 ``python -m repro report [-o FILE]`` regenerates the complete
 evaluation section — all tables and figures plus the headline summary —
-from scratch.  Runtime is a couple of minutes (the Figure 4 sweep
-dominates); everything is deterministic, so two invocations produce
-identical reports.
+from scratch.  The Figure 4 sweep dominates the runtime; a cell that
+several figures share is simulated once.  Everything is deterministic,
+so two invocations produce identical reports.
 """
 
 from __future__ import annotations
 
 import io
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.experiments import (
@@ -25,6 +28,7 @@ from repro.experiments import (
     table1,
     table3,
 )
+from repro.experiments.harness import cell_cache_scope
 
 
 def generate_report(
@@ -43,12 +47,14 @@ def generate_report(
     ``external=True`` forwards to the same drivers so every figure's
     grid is published into ``store`` and drained by external
     ``repro sweep --worker`` processes instead of this one.
+
+    The in-process sweeps share one cell cache for the whole report
+    (:func:`~repro.experiments.harness.cell_cache_scope`), so a cell
+    several figures need is simulated once.  With ``progress`` each
+    figure prints its seconds and how many cells it simulated and
+    reused.
     """
     buf = io.StringIO()
-
-    def say(msg: str) -> None:
-        if progress:
-            print(msg, flush=True)
 
     def section(title: str, body: str) -> None:
         buf.write(f"\n## {title}\n\n```\n{body}\n```\n")
@@ -60,54 +66,55 @@ def generate_report(
         "discussion.\n"
     )
 
-    say("table 1 ...")
-    section("Table 1 — reference distances", table1.render(table1.run()))
-    say("table 3 ...")
-    section("Table 3 — workload characteristics", table3.render(table3.run()))
+    with cell_cache_scope() as cells:
 
-    say("figure 2 ...")
-    trace = fig2.run("CC", max_rdds=8)
-    section(
-        "Figure 2 — policy metric traces (CC)",
-        "\n\n".join(fig2.render(trace, p) for p in ("lru", "lrc", "mrd")),
-    )
+        @contextmanager
+        def step(label: str) -> Iterator[None]:
+            """Announce one figure; afterwards, its seconds and cell counts."""
+            if not progress:
+                yield
+                return
+            print(f"{label} ...", flush=True)
+            start = time.perf_counter()
+            simulated, reused = cells.simulated, cells.reused
+            yield
+            line = f"  {label}: {time.perf_counter() - start:.1f}s"
+            if (cells.simulated, cells.reused) != (simulated, reused):
+                line += (
+                    f", simulated {cells.simulated - simulated}, "
+                    f"reused {cells.reused - reused} cells"
+                )
+            print(line, flush=True)
 
-    say("figure 4 (the long sweep) ...")
-    rows4 = fig4.run(jobs=jobs, store=store, external=external)
-    section("Figure 4 — overall performance", fig4.render(rows4))
-
-    say("figure 5 ...")
-    section("Figure 5 — vs LRC", fig5.render(fig5.run(jobs=jobs, store=store, external=external)))
-    say("figure 6 ...")
-    section(
-        "Figure 6 — vs MemTune",
-        fig6.render(fig6.run(jobs=jobs, store=store, external=external)),
-    )
-    say("figure 7 ...")
-    section(
-        "Figure 7 — cache-size sweep (SVD++)",
-        fig7.render(fig7.run(jobs=jobs, store=store, external=external)),
-    )
-    say("figure 8 ...")
-    section(
-        "Figure 8 — stage vs job distance",
-        fig8.render(fig8.run(jobs=jobs, store=store, external=external)),
-    )
-    say("figure 9 ...")
-    section(
-        "Figure 9 — ad-hoc vs recurring",
-        fig9.render(fig9.run(jobs=jobs, store=store, external=external)),
-    )
-    say("figure 10 ...")
-    section(
-        "Figure 10 — iteration scaling",
-        fig10.render(fig10.run(jobs=jobs, store=store, external=external)),
-    )
-    say("figures 11-12 ...")
-    section(
-        "Figures 11-12 — benefit predictors",
-        fig11_12.render(fig11_12.run(rows4)),
-    )
+        with step("table 1"):
+            section("Table 1 — reference distances", table1.render(table1.run()))
+        with step("table 3"):
+            section("Table 3 — workload characteristics", table3.render(table3.run()))
+        with step("figure 2"):
+            trace = fig2.run("CC", max_rdds=8)
+            section(
+                "Figure 2 — policy metric traces (CC)",
+                "\n\n".join(fig2.render(trace, p) for p in ("lru", "lrc", "mrd")),
+            )
+        with step("figure 4"):
+            rows4 = fig4.run(jobs=jobs, store=store, external=external)
+            section("Figure 4 — overall performance", fig4.render(rows4))
+        for label, title, figure in (
+            ("figure 5", "Figure 5 — vs LRC", fig5),
+            ("figure 6", "Figure 6 — vs MemTune", fig6),
+            ("figure 7", "Figure 7 — cache-size sweep (SVD++)", fig7),
+            ("figure 8", "Figure 8 — stage vs job distance", fig8),
+            ("figure 9", "Figure 9 — ad-hoc vs recurring", fig9),
+            ("figure 10", "Figure 10 — iteration scaling", fig10),
+        ):
+            with step(label):
+                result = figure.run(jobs=jobs, store=store, external=external)
+                section(title, figure.render(result))
+        with step("figures 11-12"):
+            section(
+                "Figures 11-12 — benefit predictors",
+                fig11_12.render(fig11_12.run(rows4)),
+            )
 
     avg = fig4.averages(rows4)
     buf.write(

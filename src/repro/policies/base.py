@@ -14,7 +14,7 @@ they only rank blocks.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Container, Iterable, Mapping
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,7 +95,7 @@ class EvictionPolicy(abc.ABC):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: Container[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Pick blocks to evict to free ``needed_mb``.
@@ -123,7 +123,7 @@ def take_victims(
     order: Iterable[BlockId],
     store: MemoryStore,
     needed_mb: float,
-    protect: frozenset[BlockId],
+    protect: Container[BlockId],
 ) -> list[BlockId] | None:
     """Leading evictable blocks of ``order`` that free ``needed_mb``.
 

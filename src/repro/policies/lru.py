@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from typing import TYPE_CHECKING
 
 from repro.policies.base import EvictionPolicy, take_victims
@@ -47,7 +47,7 @@ class LruPolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: Container[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Walk the recency queue in place (no per-selection copy).

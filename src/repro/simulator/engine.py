@@ -107,10 +107,6 @@ class SimulationError(RuntimeError):
 #: Scheduling cores understood by :class:`SparkSimulator`.
 SCHEDULERS = ("event", "reference")
 
-#: Shared frozenset for write-only tasks (nothing to protect).
-_EMPTY_FROZENSET: frozenset[BlockId] = frozenset()
-
-
 class SparkSimulator:
     """Runs one application under one cache-management scheme."""
 
@@ -537,7 +533,7 @@ class SparkSimulator:
             dest.node.io_free_at = (
                 max(dest.node.io_free_at, now) + network.transfer_time(block.size_mb)
             )
-            dest.insert_cached(block, _EMPTY_FROZENSET)
+            dest.insert_cached(block)
             self._rebalanced_blocks += 1
             self._rebalanced_mb += block.size_mb
             if rec.enabled:
@@ -692,9 +688,8 @@ class SparkSimulator:
         if has_writes:
             if self.recorder.enabled:
                 self.recorder.now = t
-            frozen_protect = frozenset(protect) if protect else _EMPTY_FROZENSET
             for block, home in writes[partition]:
-                managers[home].insert_cached(block, frozen_protect)
+                managers[home].insert_cached(block, protect)
         return t
 
     def _acquire_block(
@@ -728,7 +723,7 @@ class SparkSimulator:
             if self.promote_on_miss:
                 block = mgr.node.disk.get(bid)
                 assert block is not None
-                mgr.promote_from_disk(block, frozenset(protect))
+                mgr.promote_from_disk(block, protect)
             return t
         # Neither in memory nor on disk.  Without failure injection or
         # membership churn this is a DAG-contract violation; with lost
@@ -766,7 +761,7 @@ class SparkSimulator:
         # consistent with the prefetched-unread bookkeeping.
         if self.recorder.enabled:
             self.recorder.now = t
-        mgr.insert_cached(block, frozenset(protect))
+        mgr.insert_cached(block, protect)
         return t
 
     def _partition_recompute_time(self, rdd: RDD) -> float:

@@ -29,7 +29,7 @@ starting at ``k * RDD_NAMESPACE_STRIDE`` (see ``SparkContext``'s
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -371,7 +371,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: Container[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         single = self._single_tenant()
@@ -432,7 +432,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
         return None
 
     def _arbitrated(
-        self, store: MemoryStore, protect: frozenset[BlockId], for_prefetch: bool
+        self, store: MemoryStore, protect: Container[BlockId], for_prefetch: bool
     ) -> Iterator[tuple[BlockId, float]]:
         """Merge tenant candidate streams under the arbitration policy.
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dag.context import SparkApplication, SparkContext
 from repro.dag.dag_builder import build_dag
+from repro.workloads.synthetic import SyntheticConfig, generate_application
 from tests.conftest import make_diamond_app, make_iterative_app, make_linear_app
 
 
@@ -145,3 +146,18 @@ class TestStageContents:
     def test_job_of_seq(self, iterative_dag):
         for stage in iterative_dag.active_stages:
             assert iterative_dag.job_of_seq(stage.seq) == stage.job_id
+
+
+class TestDeepLineage:
+    def test_500_job_sparse_app_builds(self):
+        # Jobs of this shape build on earlier jobs' RDDs, so a late job's
+        # lineage reaches hundreds of shuffles back and stage creation
+        # walks all of it: past Python's recursion limit for a recursive
+        # walk.
+        app = generate_application(1, SyntheticConfig(
+            num_jobs=500, partitions=8, cache_probability=0.05, reuse_probability=0.3,
+        ))
+        dag = build_dag(app)
+        assert dag.num_jobs == 500
+        for stage in dag.stages:
+            assert all(parent < stage.id for parent in stage.parent_stage_ids)
