@@ -13,25 +13,26 @@ produce identical RunMetrics — at full benchmark scale.
 import pytest
 
 from repro.bench.engine_bench import (
-    BENCH_SCHEMES,
     BenchConfig,
     _metrics_fingerprint,
     build_bench_dag,
     total_tasks,
 )
 from repro.simulator.engine import SparkSimulator
+from repro.sweep.schemes import resolve_scheme
 
 CONFIG = BenchConfig(repeats=1)
+SCHEMES = ("LRU", "MRD")
 
 
 def _run(dag, scheme_name, scheduler):
     sim = SparkSimulator(
-        dag, CONFIG.cluster(), BENCH_SCHEMES[scheme_name](), scheduler=scheduler
+        dag, CONFIG.cluster(), resolve_scheme(scheme_name).build(), scheduler=scheduler
     )
     return sim.run()
 
 
-@pytest.mark.parametrize("scheme_name", sorted(BENCH_SCHEMES))
+@pytest.mark.parametrize("scheme_name", SCHEMES)
 @pytest.mark.parametrize("scheduler", ["event", "reference"])
 def test_engine_scale_sched_profile(benchmark, scheme_name, scheduler):
     """Scheduling-bound profile: isolates the scheduler cores."""
@@ -42,7 +43,7 @@ def test_engine_scale_sched_profile(benchmark, scheme_name, scheduler):
     )
 
 
-@pytest.mark.parametrize("scheme_name", sorted(BENCH_SCHEMES))
+@pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_engine_scale_metrics_identical(scheme_name):
     """Both cores simulate the same execution at benchmark scale."""
     for profile in ("sched", "cache"):

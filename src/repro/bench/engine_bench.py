@@ -33,20 +33,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.cluster import ClusterConfig
-from repro.core.policy import MrdScheme
 from repro.dag.dag_builder import ApplicationDAG, build_dag
-from repro.policies.scheme import CacheScheme, LruScheme
+from repro.policies.scheme import CacheScheme
 from repro.simulator.engine import SCHEDULERS, SparkSimulator
 from repro.simulator.metrics import RunMetrics
+from repro.sweep.schemes import resolve_scheme
 from repro.workloads.synthetic import SyntheticConfig, generate_application
-
-#: Scheme factories the harness exercises: the cheapest baseline and
-#: the paper's policy (the most state-carrying hot path).
-BENCH_SCHEMES: dict[str, Callable[[], CacheScheme]] = {
-    "LRU": LruScheme,
-    "MRD": MrdScheme,
-}
-
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -198,7 +190,10 @@ def run_engine_bench(
         profile_cluster = (
             cluster.with_cache(override) if override is not None else cluster
         )
-        for scheme_name, factory in BENCH_SCHEMES.items():
+        # The cheapest baseline and the paper's policy (the most
+        # state-carrying hot path).
+        for scheme_name in ("LRU", "MRD"):
+            factory = resolve_scheme(scheme_name)
             seconds: dict[str, float] = {}
             fingerprints: dict[str, tuple] = {}
             for scheduler in schedulers:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from dataclasses import replace
 
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import REBALANCES
 from repro.control.plane import CONTROL_PLANES, RpcConfig
-from repro.core.policy import MrdScheme
 from repro.dag.analysis import distance_stats, workload_characteristics
 from repro.experiments import (
     fig2,
@@ -51,34 +51,11 @@ from repro.experiments.harness import (
     cache_mb_for,
     format_table,
 )
-from repro.policies.scheme import (
-    BeladyScheme,
-    CacheScheme,
-    FifoScheme,
-    LfuScheme,
-    LrcScheme,
-    LruScheme,
-    MemTuneScheme,
-    RandomScheme,
-)
 from repro.simulator.config import CLUSTERS
 from repro.simulator.engine import simulate
+from repro.sweep.schemes import SCHEME_SPECS, SchemeSpec, resolve_scheme
 from repro.tenancy.arbitration import ARBITRATIONS
 from repro.workloads.registry import workload_names
-
-#: name -> zero-arg scheme factory for the CLI.
-SCHEME_FACTORIES: dict[str, Callable[[], CacheScheme]] = {
-    "LRU": LruScheme,
-    "FIFO": FifoScheme,
-    "LFU": LfuScheme,
-    "Random": RandomScheme,
-    "LRC": LrcScheme,
-    "MemTune": MemTuneScheme,
-    "Belady": BeladyScheme,
-    "MRD": MrdScheme,
-    "MRD-evict": lambda: MrdScheme(prefetch=False),
-    "MRD-prefetch": lambda: MrdScheme(evict=False),
-}
 
 _EXPERIMENTS = {
     "table1": (table1.run, table1.render),
@@ -99,20 +76,11 @@ _EXPERIMENTS = {
 }
 
 
-def _make_scheme(args: argparse.Namespace) -> CacheScheme:
-    name = args.scheme
-    if name not in SCHEME_FACTORIES:
-        raise SystemExit(
-            f"unknown scheme {name!r}; choose from {sorted(SCHEME_FACTORIES)}"
-        )
-    if name.startswith("MRD") and (args.mode != "recurring" or args.metric != "stage"):
-        return MrdScheme(
-            evict=name != "MRD-prefetch",
-            prefetch=name != "MRD-evict",
-            mode=args.mode,
-            metric=args.metric,
-        )
-    return SCHEME_FACTORIES[name]()
+def _scheme_spec(name: str) -> SchemeSpec:
+    try:
+        return resolve_scheme(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def _cluster(args: argparse.Namespace):
@@ -138,11 +106,9 @@ def _add_control_args(p: argparse.ArgumentParser) -> None:
                    help="RNG seed for rpc loss/jitter draws")
 
 
-def _control_kwargs(args: argparse.Namespace) -> dict:
-    if args.control_plane != "rpc":
-        return {"control_plane": args.control_plane}
+def _rpc_config(args: argparse.Namespace) -> RpcConfig:
     try:
-        config = RpcConfig(
+        return RpcConfig(
             latency_s=args.control_latency,
             jitter_s=args.control_jitter,
             loss_rate=args.control_loss,
@@ -150,7 +116,12 @@ def _control_kwargs(args: argparse.Namespace) -> dict:
         )
     except ValueError as exc:
         raise SystemExit(f"bad control-plane config: {exc}") from exc
-    return {"control_plane": "rpc", "control_config": config}
+
+
+def _control_kwargs(args: argparse.Namespace) -> dict:
+    if args.control_plane != "rpc":
+        return {"control_plane": args.control_plane}
+    return {"control_plane": "rpc", "control_config": _rpc_config(args)}
 
 
 # ----------------------------------------------------------------------
@@ -175,31 +146,43 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cluster = _cluster(args)
-    dag = build_workload_dag(
-        args.workload, scale=args.scale, iterations=args.iterations,
-        partitions=args.partitions,
-    )
-    cache = (
-        args.cache_mb
-        if args.cache_mb is not None
-        else cache_mb_for(dag, args.cache_fraction, cluster)
-    )
-    kwargs = _control_kwargs(args)
-    if args.placement != "stride":
-        kwargs["placement"] = args.placement
-    if args.churn_rate > 0:
-        from repro.simulator.failures import build_churn_plan
+    from repro.sweep.runner import simulate_cell
+    from repro.sweep.spec import CellSpec
 
-        try:
-            kwargs["failure_plan"] = build_churn_plan(
-                len(dag.active_stages), args.churn_rate, args.churn_seed
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad churn config: {exc}") from exc
-        kwargs["rebalance"] = args.rebalance
-    metrics = simulate(dag, cluster.with_cache(cache), _make_scheme(args), **kwargs)
-    print(f"cluster={cluster.name} cache={cache:.1f} MB/node")
+    cluster = _cluster(args)
+    spec = _scheme_spec(args.scheme)
+    if spec.base == "MRD":
+        spec = replace(
+            spec, mode=args.mode or spec.mode, metric=args.metric or spec.metric
+        )
+    if args.control_plane == "rpc":
+        _rpc_config(args)  # reject a bad rpc config before simulating
+    try:
+        cell = CellSpec(
+            workload=args.workload,
+            # Labelled by the scheme's own name (Belady runs as Belady-MIN).
+            scheme=spec.build().name,
+            scheme_spec=spec,
+            cluster=args.cluster,
+            cache_fraction=args.cache_fraction,
+            cache_mb=args.cache_mb,
+            scale=args.scale,
+            iterations=args.iterations,
+            partitions=args.partitions,
+            control_plane=args.control_plane,
+            control_latency=args.control_latency,
+            control_jitter=args.control_jitter,
+            control_loss=args.control_loss,
+            control_seed=args.control_seed,
+            placement=args.placement,
+            churn_rate=args.churn_rate,
+            churn_seed=args.churn_seed,
+            rebalance=args.rebalance,
+        )
+    except ValueError as exc:  # churn_rate is the one field argparse leaves open
+        raise SystemExit(f"bad churn config: {exc}") from exc
+    metrics = simulate_cell(cell)
+    print(f"cluster={cluster.name} cache={metrics.cache_mb_per_node:.1f} MB/node")
     print(metrics.summary())
     if metrics.nodes_joined or metrics.nodes_decommissioned:
         print(
@@ -661,7 +644,6 @@ def _write_trace_outputs(recorder, args: argparse.Namespace) -> None:
 def cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.dag.dag_builder import build_dag
     from repro.trace import TraceRecorder
-    from repro.trace.replay import build_scheme
     from repro.workloads.registry import build_workload
 
     kwargs = {
@@ -675,10 +657,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
         raise SystemExit(f"record failed: {exc.args[0]}") from exc
     args.cluster = args.cluster or "main"
     cluster = _cluster(args)
-    try:
-        scheme = build_scheme(args.scheme)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    scheme = _scheme_spec(args.scheme).build()
     cache = (
         args.cache_mb
         if args.cache_mb is not None
@@ -763,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one workload under one scheme")
     run_p.add_argument("workload")
-    run_p.add_argument("--scheme", default="MRD", help=f"one of {sorted(SCHEME_FACTORIES)}")
+    run_p.add_argument("--scheme", default="MRD",
+                       help=f"one of {', '.join(SCHEME_SPECS)} (case-insensitive)")
     run_p.add_argument("--cluster", default="main", help=f"one of {sorted(CLUSTERS)}")
     run_p.add_argument("--cache-fraction", type=float, default=0.5,
                        help="cache as a fraction of the peak live cached set")
@@ -772,8 +752,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scale", type=float, default=1.0)
     run_p.add_argument("--iterations", type=int, default=None)
     run_p.add_argument("--partitions", type=int, default=None)
-    run_p.add_argument("--mode", choices=("recurring", "adhoc"), default="recurring")
-    run_p.add_argument("--metric", choices=("stage", "job"), default="stage")
+    run_p.add_argument("--mode", choices=("recurring", "adhoc"), default=None,
+                       help="MRD profile mode (default: the scheme's own)")
+    run_p.add_argument("--metric", choices=("stage", "job"), default=None,
+                       help="MRD distance metric (default: the scheme's own)")
     run_p.add_argument("--placement", choices=PLACEMENTS, default="stride",
                        help="partition placement: stride (legacy modulo) or "
                             "rendezvous (sticky, join-stable)")

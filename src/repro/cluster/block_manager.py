@@ -176,13 +176,11 @@ class BlockManager:
         Returns True when a memory-resident copy was actually dropped.
         """
         self.cancel_inflight(block_id, reason="purged")
-        dropped = False
-        if block_id in self.node.memory and not self.node.memory.is_pinned(block_id):
-            removed = self.node.memory.remove(block_id)
-            if removed is not None:
-                self.stats.purged += 1
-                self._prefetched_unread.discard(block_id)
-                dropped = True
+        dropped = block_id in self.node.memory
+        if dropped:
+            self.node.memory.remove(block_id)
+            self.stats.purged += 1
+            self._prefetched_unread.discard(block_id)
         if drop_disk:
             self.node.disk.remove(block_id)
         return dropped

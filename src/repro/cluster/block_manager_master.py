@@ -162,9 +162,7 @@ class BlockManagerMaster:
                 mgr.cancel_inflight(bid, reason="purged")
         if mgr.node.memory.holds_rdd(rdd_id):
             for bid in [b for b in mgr.node.memory.block_ids() if b.rdd_id == rdd_id]:
-                if not mgr.node.memory.is_pinned(bid) and mgr.purge_block(
-                    bid, drop_disk=drop_disk
-                ):
+                if mgr.purge_block(bid, drop_disk=drop_disk):
                     node_dropped += 1
         if drop_disk:
             for bid in [b for b in list(mgr.node.disk.block_ids()) if b.rdd_id == rdd_id]:
@@ -191,9 +189,8 @@ class BlockManagerMaster:
             memory, disk = mgr.node.memory, mgr.node.disk
             if any(lo <= r < hi for r in memory.resident_rdd_ids()):
                 for bid in [b for b in memory.block_ids() if lo <= b.rdd_id < hi]:
-                    if not memory.is_pinned(bid):
-                        memory.remove(bid)
-                        dropped += 1
+                    memory.remove(bid)
+                    dropped += 1
             for bid in [b for b in list(disk.block_ids()) if lo <= b.rdd_id < hi]:
                 disk.remove(bid)
         return dropped

@@ -2,9 +2,10 @@
 
 Mirrors Spark's ``MemoryStore``: a capacity-bounded map from
 :class:`BlockId` to :class:`Block`.  Inserting past capacity asks the
-eviction policy for victims; blocks pinned by running tasks are never
-evicted; a block larger than the whole store (or whose space cannot be
-freed) is refused rather than partially cached.
+eviction policy for victims; blocks the caller protects (a running
+task's inputs) are never chosen; a block larger than the whole store
+(or whose space cannot be freed) is refused rather than partially
+cached.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class MemoryStore:
         self.policy = policy
         self._blocks: dict[BlockId, Block] = {}
         self._used_mb = 0.0
-        self._pinned: dict[BlockId, int] = {}
         # Residency count per rdd id: lets purge/unpersist paths skip
         # whole-store scans for rdds with no resident blocks.
         self._rdd_count: dict[int, int] = {}
@@ -72,9 +72,6 @@ class MemoryStore:
     def blocks(self) -> Iterator[Block]:
         return iter(self._blocks.values())
 
-    def is_pinned(self, block_id: BlockId) -> bool:
-        return self._pinned.get(block_id, 0) > 0
-
     def holds_rdd(self, rdd_id: int) -> bool:
         """Whether any block of ``rdd_id`` is memory-resident."""
         return rdd_id in self._rdd_count
@@ -82,23 +79,6 @@ class MemoryStore:
     def resident_rdd_ids(self) -> list[int]:
         """Rdd ids with at least one memory-resident block (insertion order)."""
         return list(self._rdd_count)
-
-    # ------------------------------------------------------------------
-    # pinning — blocks being read by a running task must not be evicted
-    # ------------------------------------------------------------------
-    def pin(self, block_id: BlockId) -> None:
-        if block_id not in self._blocks:
-            raise KeyError(f"cannot pin absent block {block_id}")
-        self._pinned[block_id] = self._pinned.get(block_id, 0) + 1
-
-    def unpin(self, block_id: BlockId) -> None:
-        count = self._pinned.get(block_id, 0)
-        if count <= 0:
-            raise ValueError(f"unpin without pin for {block_id}")
-        if count == 1:
-            del self._pinned[block_id]
-        else:
-            self._pinned[block_id] = count - 1
 
     # ------------------------------------------------------------------
     # mutation
@@ -118,9 +98,9 @@ class MemoryStore:
     ) -> PutResult:
         """Insert ``block``, evicting per policy if needed.
 
-        ``protect`` lists blocks that must not be chosen as victims even
-        if unpinned (e.g. sibling input blocks of the inserting task); it
-        is only read during the call.  ``block`` itself needs no
+        ``protect`` lists blocks that must not be chosen as victims
+        (e.g. sibling input blocks of the inserting task); it is only
+        read during the call.  ``block`` itself needs no
         protection: it is not resident, so no victim order names it.
         ``prefetch`` marks prefetch-triggered insertions, which may use
         a different victim order and admission rule (see
@@ -160,8 +140,6 @@ class MemoryStore:
         """Drop a block outright (purge path); no-op if absent."""
         if block_id not in self._blocks:
             return None
-        if self.is_pinned(block_id):
-            raise ValueError(f"cannot remove pinned block {block_id}")
         return self._evict(block_id)
 
     def _evict(self, block_id: BlockId) -> Block:

@@ -6,9 +6,9 @@ reference-distance profile — refreshed by the driver's per-boundary
 fall-through to the shared :class:`MrdManager` for monitors that were
 never wired through a control plane (unit tests, direct construction) —
 and picks eviction victims locally: the block with the *greatest*
-reference distance goes first, infinite-distance blocks leading, ties
-broken by least recent use.  It also reports cache status back to the
-manager (``reportCacheStatus`` in the paper's API table).
+reference distance goes first, infinite-distance blocks leading; ties
+break on the tie rule (:data:`TIE_BREAKERS`), then descending partition
+index, then descending RDD id.  Recency never enters the key.
 
 Under the ``rpc`` control plane the broadcast arrives late, so the
 monitor evicts against the *previous* boundary's distances until the
@@ -18,10 +18,8 @@ has to live with.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from collections.abc import Container, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -32,22 +30,6 @@ from repro.policies.base import EvictionPolicy, take_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.memory_store import MemoryStore
-
-
-@dataclass(frozen=True)
-class CacheStatus:
-    """Periodic node report consumed by the MRDmanager.
-
-    ``hit_ratio`` is ``None`` for a node that has served no cached
-    reads yet (``BlockManagerStats.hit_ratio`` reports idle nodes as
-    ``None`` rather than dragging cluster averages to zero).
-    """
-
-    node_id: int
-    used_mb: float
-    free_mb: float
-    hit_ratio: float | None
-    num_blocks: int
 
 
 class MrdTableView(EvictionPolicy):
@@ -178,8 +160,6 @@ class CacheMonitor(MrdTableView):
         self.node_id = node_id
         self.manager = manager
         self.tie_breaker = tie_breaker
-        self._touch = itertools.count()
-        self._last_touch: dict[BlockId, int] = {}
         #: Block sizes observed at insertion (for the "size" rule).
         self._sizes: dict[BlockId, float] = {}
 
@@ -187,16 +167,14 @@ class CacheMonitor(MrdTableView):
         return self.manager.distance(rdd_id)
 
     def on_insert(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
         self._sizes[block.id] = block.size_mb
         self._order_insert(block.id)
 
     def on_access(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
+        """A hit leaves the distance order unchanged."""
 
     def on_remove(self, block_id: BlockId) -> None:
         self._order_remove(block_id)
-        self._last_touch.pop(block_id, None)
         self._sizes.pop(block_id, None)
 
     def eviction_order(self, store: MemoryStore) -> Iterator[BlockId]:
@@ -233,20 +211,3 @@ class CacheMonitor(MrdTableView):
 
     def _order_ids(self) -> Iterable[BlockId]:
         return self._sizes
-
-    def report_cache_status(
-        self, store: MemoryStore, hit_ratio: float | None
-    ) -> CacheStatus:
-        """Build the periodic status report for the MRDmanager.
-
-        ``hit_ratio`` may be ``None`` for a node that has served no
-        cached reads yet; the report forwards it untouched and the
-        manager's consumers treat such nodes as idle.
-        """
-        return CacheStatus(
-            node_id=self.node_id,
-            used_mb=store.used_mb,
-            free_mb=store.free_mb,
-            hit_ratio=hit_ratio,
-            num_blocks=len(store),
-        )

@@ -186,19 +186,6 @@ class MrdManager:
         """A worker left the cluster: its reported status is void."""
         self.status_view.pop(node_id, None)
 
-    def reported_hit_ratio(self) -> float | None:
-        """Mean hit ratio across reporting nodes, ignoring idle ones.
-
-        Nodes that have served no cached reads report ``hit_ratio=None``
-        and are excluded; returns ``None`` when no node has data yet.
-        """
-        ratios = [
-            r.hit_ratio for r in self.status_view.values() if r.hit_ratio is not None
-        ]
-        if not ratios:
-            return None
-        return sum(ratios) / len(ratios)
-
     def on_stage_start(self, seq: int, cluster: Cluster) -> StagePlan:
         """Advance distances; emit purge + prefetch orders."""
         job_id = self.dag.job_of_seq(seq)

@@ -85,6 +85,20 @@ class PrefetchAwareLruPolicy(MrdTableView, LruPolicy):
         return self._recency
 
 
+def mrd_variant_name(evict: bool, prefetch: bool, metric: str, mode: str) -> str:
+    """Display name of one MRD configuration (``MRD-evict-jobdist``, ...)."""
+    variant = "MRD"
+    if not prefetch:
+        variant = "MRD-evict"
+    elif not evict:
+        variant = "MRD-prefetch"
+    if metric == "job":
+        variant += "-jobdist"
+    if mode == "adhoc":
+        variant += "-adhoc"
+    return variant
+
+
 class MrdScheme(CacheScheme):
     """Most Reference Distance cache management."""
 
@@ -119,16 +133,7 @@ class MrdScheme(CacheScheme):
             guarded_prefetch=guarded_prefetch,
         )
         self.manager: MrdManager | None = None
-        variant = "MRD"
-        if not prefetch:
-            variant = "MRD-evict"
-        elif not evict:
-            variant = "MRD-prefetch"
-        if metric == "job":
-            variant += "-jobdist"
-        if mode == "adhoc":
-            variant += "-adhoc"
-        self.name = variant
+        self.name = mrd_variant_name(evict, prefetch, metric, mode)
 
     # ------------------------------------------------------------------
     def prepare(self, dag: ApplicationDAG) -> None:

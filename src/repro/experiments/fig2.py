@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.dag.dag_builder import ApplicationDAG
 from repro.experiments.harness import build_workload_dag
+from repro.policies.profile_oracle import ProfileOracle
 
 
 @dataclass
@@ -40,6 +41,7 @@ def run(workload: str = "CC", max_rdds: int = 12) -> PolicyTrace:
     caches, not every intermediate).
     """
     dag = build_workload_dag(workload)
+    oracle = ProfileOracle(dag)
     trace = PolicyTrace(workload=workload, dag=dag)
     profiles = sorted(
         dag.profiles.values(), key=lambda p: -p.reference_count
@@ -51,7 +53,6 @@ def run(workload: str = "CC", max_rdds: int = 12) -> PolicyTrace:
         trace.rdd_ids.append(rid)
         trace.rdd_names[rid] = prof.rdd.name
         touches = sorted({prof.created_seq, *prof.read_seqs})
-        reads = sorted(prof.read_seqs)
         lru_row: list[float] = []
         lrc_row: list[float] = []
         mrd_row: list[float] = []
@@ -63,9 +64,9 @@ def run(workload: str = "CC", max_rdds: int = 12) -> PolicyTrace:
                 continue
             last_touch = max((t for t in touches if t <= seq), default=prof.created_seq)
             lru_row.append(float(seq - last_touch))
-            lrc_row.append(float(sum(1 for r in reads if r >= seq)))
-            future = [r for r in reads if r >= seq]
-            mrd_row.append(float(future[0] - seq) if future else math.inf)
+            oracle.advance(seq)
+            lrc_row.append(float(oracle.remaining_reference_count(rid)))
+            mrd_row.append(float(oracle.stage_distance(rid)))
         trace.lru[rid] = lru_row
         trace.lrc[rid] = lrc_row
         trace.mrd[rid] = mrd_row

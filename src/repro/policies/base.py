@@ -2,9 +2,9 @@
 
 A policy instance manages the metadata for *one* node's memory store
 (mirroring the paper, where eviction decisions are made locally by each
-CacheMonitor / BlockManager).  DAG-aware policies additionally receive
-stage-advance notifications routed from the centralized manager so they
-can update reference counts / distances as the application progresses.
+CacheMonitor / BlockManager).  DAG-aware policies read the
+application's progress from state their scheme advances at every stage
+boundary (a shared profile oracle, or the MRD table's distances).
 
 The store calls the policy on every insert/access/remove; when space is
 needed it asks for victims.  Policies never mutate the store directly —
@@ -50,9 +50,6 @@ class EvictionPolicy(abc.ABC):
     @abc.abstractmethod
     def eviction_order(self, store: MemoryStore) -> Iterable[BlockId]:
         """Blocks in the order they should be evicted (worst first)."""
-
-    def advance_stage(self, seq: int) -> None:
-        """The application moved to active stage ``seq`` (optional hook)."""
 
     def on_table_update(self, seq: int, distances: Mapping[int, float]) -> bool:
         """A driver distance-table broadcast reached this node.
@@ -101,7 +98,7 @@ class EvictionPolicy(abc.ABC):
         """Pick blocks to evict to free ``needed_mb``.
 
         Walks :meth:`eviction_order` (or :meth:`prefetch_eviction_order`
-        when ``for_prefetch``), skipping pinned/protected blocks, until
+        when ``for_prefetch``), skipping protected blocks, until
         enough space is accumulated.  Returns ``None`` when the
         evictable blocks cannot cover the request (the caller then
         refuses the insertion, like Spark's ``MemoryStore``).
@@ -127,17 +124,16 @@ def take_victims(
 ) -> list[BlockId] | None:
     """Leading evictable blocks of ``order`` that free ``needed_mb``.
 
-    Skips pinned and protected blocks; ``None`` when the whole order
-    cannot cover the request.
+    Skips protected blocks; ``None`` when the whole order cannot cover
+    the request.
     """
     victims: list[BlockId] = []
     freed = 0.0
-    is_pinned = store.is_pinned
     block = store.block
     for bid in order:
         if freed >= needed_mb:
             break
-        if bid in protect or is_pinned(bid):
+        if bid in protect:
             continue
         victims.append(bid)
         freed += block(bid).size_mb

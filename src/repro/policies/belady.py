@@ -10,7 +10,6 @@ the tests compare every other policy against.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -28,20 +27,17 @@ class BeladyPolicy(EvictionPolicy):
     name = "Belady-MIN"
 
     def __init__(self, oracle: ProfileOracle) -> None:
-        if oracle.visibility != "recurring":
-            raise ValueError("Belady's MIN requires the full (recurring) trace")
         self._oracle = oracle
-        self._touch = itertools.count()
-        self._last_touch: dict[BlockId, int] = {}
 
+    # The order depends on the trace position alone: no per-block state.
     def on_insert(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
+        pass
 
     def on_access(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
+        pass
 
     def on_remove(self, block_id: BlockId) -> None:
-        self._last_touch.pop(block_id, None)
+        pass
 
     def eviction_order(self, store: MemoryStore) -> Iterator[BlockId]:
         # Furthest next use first; never-again-used blocks lead.  Ties

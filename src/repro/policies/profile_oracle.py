@@ -1,117 +1,64 @@
 """Shared DAG-profile oracle used by the DAG-aware policies.
 
-LRC, MemTune, Belady and MRD all consult the application's reference
-profile (which stages read which cached RDDs).  This module centralizes
-that lookup: a :class:`ProfileOracle` holds the per-RDD sorted read
-sequences and the current execution position, and answers the queries
-each policy needs (remaining reference count, next reference, stage
-window contents).
-
-Visibility modes model the paper's §4.1 distinction:
-
-* ``recurring`` — the whole application profile is known up front
-  (profile saved from a previous run).
-* ``adhoc`` — only references belonging to the *currently submitted
-  job* are visible; anything later is treated as unknown (infinite
-  distance / zero count) until that job is submitted.
+LRC, MemTune and Belady consult the application's whole reference
+profile (which stages read which cached RDDs), known up front as for a
+recurring application.  This module centralizes that lookup: a
+:class:`ProfileOracle` holds the per-RDD sorted read sequences and the
+current execution position, and answers the queries each policy needs
+(remaining reference count, next reference, stage window contents).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from repro.dag.dag_builder import ApplicationDAG
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class _RddRefs:
-    """Sorted read positions for one cached RDD."""
-
-    read_seqs: tuple[int, ...]
-    read_jobs: tuple[int, ...]
-    unpersist_after_job: int | None
-
-
 class ProfileOracle:
     """Query interface over an application's reference profile."""
 
-    def __init__(self, dag: ApplicationDAG, visibility: str = "recurring") -> None:
-        if visibility not in ("recurring", "adhoc"):
-            raise ValueError(f"unknown visibility {visibility!r}")
+    def __init__(self, dag: ApplicationDAG) -> None:
         self.dag = dag
-        self.visibility = visibility
         self.current_seq = 0
-        self._refs: dict[int, _RddRefs] = {}
-        for rdd_id, prof in dag.profiles.items():
-            pairs = sorted(zip(prof.read_seqs, prof.read_jobs))
-            self._refs[rdd_id] = _RddRefs(
-                read_seqs=tuple(s for s, _ in pairs),
-                read_jobs=tuple(j for _, j in pairs),
-                unpersist_after_job=prof.unpersist_after_job,
-            )
-        #: seq -> job id of the active stage executing at that position
-        self._job_of_seq = [s.job_id for s in dag.active_stages]
+        #: rdd id -> sorted active-stage seqs that read it
+        self._reads: dict[int, tuple[int, ...]] = {
+            rdd_id: tuple(sorted(prof.read_seqs)) for rdd_id, prof in dag.profiles.items()
+        }
 
     # ------------------------------------------------------------------
     # progress
     # ------------------------------------------------------------------
     def advance(self, seq: int) -> None:
         """Move the execution pointer to active stage ``seq``."""
-        if seq < 0 or seq >= len(self._job_of_seq):
+        if seq < 0 or seq >= len(self.dag.active_stages):
             raise ValueError(f"seq {seq} out of range")
         self.current_seq = seq
 
-    @property
-    def current_job(self) -> int:
-        return self._job_of_seq[self.current_seq] if self._job_of_seq else 0
-
-    def is_tracked(self, rdd_id: int) -> bool:
-        return rdd_id in self._refs
-
     def tracked_rdd_ids(self) -> list[int]:
-        return sorted(self._refs)
+        return sorted(self._reads)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _visible_future_seqs(self, rdd_id: int) -> tuple[int, ...]:
-        refs = self._refs.get(rdd_id)
-        if refs is None:
-            return ()
-        i = bisect.bisect_left(refs.read_seqs, self.current_seq)
-        future = refs.read_seqs[i:]
-        if self.visibility == "adhoc":
-            job = self.current_job
-            jobs = refs.read_jobs[i:]
-            future = tuple(s for s, j in zip(future, jobs) if j == job)
-        return future
-
     def next_reference_seq(self, rdd_id: int) -> float:
-        """Next visible stage seq that reads ``rdd_id``, or +inf."""
-        future = self._visible_future_seqs(rdd_id)
-        return future[0] if future else INFINITE
+        """Next stage seq that reads ``rdd_id``, or +inf."""
+        reads = self._reads.get(rdd_id, ())
+        i = bisect.bisect_left(reads, self.current_seq)
+        return reads[i] if i < len(reads) else INFINITE
 
     def stage_distance(self, rdd_id: int) -> float:
         """MRD's reference distance in active-stage executions."""
         nxt = self.next_reference_seq(rdd_id)
         return nxt - self.current_seq if nxt is not INFINITE else INFINITE
 
-    def job_distance(self, rdd_id: int) -> float:
-        """Reference distance measured in jobs (the coarser metric)."""
-        future = self._visible_future_seqs(rdd_id)
-        if not future:
-            return INFINITE
-        refs = self._refs[rdd_id]
-        i = refs.read_seqs.index(future[0])
-        return refs.read_jobs[i] - self.current_job
-
     def remaining_reference_count(self, rdd_id: int) -> int:
-        """LRC's metric: visible references not yet consumed."""
-        return len(self._visible_future_seqs(rdd_id))
+        """LRC's metric: references not yet consumed."""
+        reads = self._reads.get(rdd_id, ())
+        return len(reads) - bisect.bisect_left(reads, self.current_seq)
 
     def referenced_in_window(self, lookahead: int) -> set[int]:
         """RDD ids read by stages in ``[current, current + lookahead]``.
@@ -125,12 +72,3 @@ class ProfileOracle:
             for rdd in self.dag.active_stages[seq].cache_reads:
                 needed.add(rdd.id)
         return needed
-
-    def is_dead(self, rdd_id: int) -> bool:
-        """No visible future reference (distance is infinite)."""
-        return not self._visible_future_seqs(rdd_id)
-
-    def had_any_reference(self, rdd_id: int) -> bool:
-        """Did the profile ever record a read for this RDD?"""
-        refs = self._refs.get(rdd_id)
-        return bool(refs and refs.read_seqs)

@@ -109,13 +109,11 @@ class CacheScheme(abc.ABC):
 class _OracleScheme(CacheScheme):
     """Base for schemes whose per-node policies share a ProfileOracle."""
 
-    visibility = "recurring"
-
     def __init__(self) -> None:
         self.oracle: ProfileOracle | None = None
 
     def prepare(self, dag: ApplicationDAG) -> None:
-        self.oracle = ProfileOracle(dag, visibility=self.visibility)
+        self.oracle = ProfileOracle(dag)
 
     def on_stage_start(self, seq: int, cluster: Cluster) -> StageOrders:
         assert self.oracle is not None, "prepare() must run before the simulation"

@@ -56,11 +56,14 @@ def _build_cluster_config(cell: CellSpec):
     return config
 
 
-def _execute_cell(cell: CellSpec, profile_path: str | None) -> RunMetrics:
-    """Run one cell to completion (pure function of the spec)."""
-    from repro.dag.analysis import peak_live_cached_mb
+def simulate_cell(cell: CellSpec, profile_path: str | None = None) -> RunMetrics:
+    """Run one cell to completion (pure function of the spec).
+
+    The one recipe from a described run to its metrics: sweep cells,
+    the report's runner path and ``repro run`` all come through here.
+    """
     from repro.dag.dag_builder import build_dag
-    from repro.experiments.harness import MIN_CACHE_MB
+    from repro.experiments.harness import cache_mb_for
     from repro.simulator.engine import simulate
     from repro.workloads.base import WorkloadParams
     from repro.workloads.registry import get_workload
@@ -80,8 +83,7 @@ def _execute_cell(cell: CellSpec, profile_path: str | None) -> RunMetrics:
         cache_mb = cell.cache_mb
     else:
         assert cell.cache_fraction is not None
-        peak = peak_live_cached_mb(dag)
-        cache_mb = max(peak * cell.cache_fraction / cluster.num_nodes, MIN_CACHE_MB)
+        cache_mb = cache_mb_for(dag, cell.cache_fraction, cluster)
     store = ProfileStore(path=Path(profile_path)) if profile_path else None
     scheme = cell.scheme_spec.build(profile_store=store)
     kwargs: dict = {"scheduler": cell.scheduler}
@@ -114,7 +116,7 @@ def run_cell(cell: CellSpec, profile_path: str | None = None) -> CellResult:
     fingerprint = cell.fingerprint()
     start = time.perf_counter()
     try:
-        metrics = _execute_cell(cell, profile_path)
+        metrics = simulate_cell(cell, profile_path)
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return CellResult(
             fingerprint=fingerprint,

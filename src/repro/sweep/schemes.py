@@ -13,8 +13,10 @@ factory it now accepts a ``SchemeSpec`` transparently; custom callables
 remain supported by the harness's serial path (see
 ``repro.experiments.harness``).
 
-The canonical named line-up lives in :data:`SCHEME_SPECS`; names match
-the labels used across ``docs/policies.md`` and EXPERIMENTS.md.
+The canonical named line-up lives in :data:`SCHEME_SPECS`, the only
+name → scheme table; :func:`resolve_scheme` matches its names
+case-insensitively.  Names match the labels used across
+``docs/policies.md`` and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.core.app_profiler import ProfileStore
-from repro.core.policy import MrdScheme
+from repro.core.policy import MrdScheme, mrd_variant_name
 from repro.policies.scheme import (
     BeladyScheme,
     CacheScheme,
@@ -80,19 +82,10 @@ class SchemeSpec:
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
-        """Display name, mirroring :class:`MrdScheme`'s naming rules."""
+        """Display name: the base, or the MRD variant's scheme name."""
         if self.base != "MRD":
             return self.base
-        variant = "MRD"
-        if not self.prefetch:
-            variant = "MRD-evict"
-        elif not self.evict:
-            variant = "MRD-prefetch"
-        if self.metric == "job":
-            variant += "-jobdist"
-        if self.mode == "adhoc":
-            variant += "-adhoc"
-        return variant
+        return mrd_variant_name(self.evict, self.prefetch, self.metric, self.mode)
 
     def build(self, profile_store: ProfileStore | None = None) -> CacheScheme:
         """Fresh scheme instance (``profile_store`` applies to MRD only)."""
@@ -133,7 +126,9 @@ class SchemeSpec:
         return cls(**data)
 
 
-#: The named scheme line-up grid specs and the CLI resolve against.
+#: The one name -> scheme table: sweep grids, ``repro run``, ``repro
+#: trace`` and the engine bench all resolve names here (case-insensitively,
+#: so every key must stay unique under casefold).
 SCHEME_SPECS: dict[str, SchemeSpec] = {
     "LRU": SchemeSpec("LRU"),
     "FIFO": SchemeSpec("FIFO"),
@@ -155,19 +150,19 @@ SchemeLike = SchemeSpec | str | dict
 def resolve_scheme(value: SchemeLike) -> SchemeSpec:
     """Coerce a name, dict, or SchemeSpec into a :class:`SchemeSpec`.
 
-    Raises ``ValueError`` for unknown names or malformed dicts; live
-    factories (plain callables) are *not* accepted here — they cannot
-    cross a process boundary.
+    Names match :data:`SCHEME_SPECS` keys case-insensitively (``lru``,
+    ``mrd-evict``).  Raises ``ValueError`` for unknown names or
+    malformed dicts; live factories (plain callables) are *not* accepted
+    here — they cannot cross a process boundary.
     """
     if isinstance(value, SchemeSpec):
         return value
     if isinstance(value, str):
-        try:
-            return SCHEME_SPECS[value]
-        except KeyError:
-            raise ValueError(
-                f"unknown scheme {value!r}; choose from {sorted(SCHEME_SPECS)}"
-            ) from None
+        key = value.casefold()
+        for name, spec in SCHEME_SPECS.items():
+            if name.casefold() == key:
+                return spec
+        raise ValueError(f"unknown scheme {value!r}; choose from {sorted(SCHEME_SPECS)}")
     if isinstance(value, dict):
         return SchemeSpec.from_dict(value)
     raise ValueError(f"cannot resolve scheme from {type(value).__name__}")

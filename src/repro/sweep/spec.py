@@ -299,9 +299,9 @@ class GridSpec:
                 label = entry.pop("name")
                 pairs.append((str(label), resolve_scheme(entry)))
             else:
+                # A name's label is its canonical spelling (``lru`` -> LRU).
                 spec = resolve_scheme(entry)  # type: ignore[arg-type]
-                label = entry if isinstance(entry, str) else spec.name
-                pairs.append((label, spec))
+                pairs.append((spec.name, spec))
         return pairs
 
     def cells(self) -> list[CellSpec]:

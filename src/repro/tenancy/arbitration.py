@@ -85,9 +85,6 @@ class TenantStoreView:
     def block(self, block_id: BlockId) -> Block:
         return self._store.block(block_id)
 
-    def is_pinned(self, block_id: BlockId) -> bool:
-        return self._store.is_pinned(block_id)
-
     def __contains__(self, block_id: BlockId) -> bool:
         return self._owned(block_id) and block_id in self._store
 
@@ -439,7 +436,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
         Each tenant exposes its own eviction order over its namespace
         view; arbitration repeatedly picks which tenant's head candidate
         is evicted next.  Yields ``(block_id, size_mb)`` pairs of
-        evictable (unpinned, unprotected) blocks, worst first.
+        evictable (unprotected) blocks, worst first.
         """
         streams: dict[int, Iterator[BlockId]] = {}
         usage: dict[int, float] = {}
@@ -458,7 +455,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
 
         def advance(app_index: int) -> None:
             for bid in streams[app_index]:
-                if bid in protect or store.is_pinned(bid):
+                if bid in protect:
                     continue
                 heads[app_index] = bid
                 return

@@ -104,10 +104,3 @@ class TestPurge:
         mgr.insert_cached(blk(0, 0))
         mgr.purge_block(BlockId(0, 0), drop_disk=True)
         assert BlockId(0, 0) not in mgr.node.disk
-
-    def test_purge_skips_pinned(self, mgr):
-        mgr.insert_cached(blk(0, 0))
-        mgr.node.memory.pin(BlockId(0, 0))
-        mgr.purge_block(BlockId(0, 0))
-        assert BlockId(0, 0) in mgr.node.memory
-        assert mgr.stats.purged == 0

@@ -80,48 +80,6 @@ class TestEviction:
         assert store.remove(BlockId(9, 9)) is None
 
 
-class TestPinning:
-    def test_pinned_never_evicted(self, store):
-        store.put(blk(0, 0))
-        store.put(blk(0, 1))
-        store.put(blk(0, 2))
-        store.pin(BlockId(0, 0))
-        res = store.put(blk(1, 0))
-        assert res.stored
-        assert BlockId(0, 0) in store
-        assert res.evicted[0].id == BlockId(0, 1)
-
-    def test_all_pinned_refuses_insert(self, store):
-        for i in range(3):
-            store.put(blk(0, i))
-            store.pin(BlockId(0, i))
-        assert not store.put(blk(1, 0)).stored
-
-    def test_pin_absent_raises(self, store):
-        with pytest.raises(KeyError):
-            store.pin(BlockId(0, 0))
-
-    def test_unpin_without_pin_raises(self, store):
-        store.put(blk(0, 0))
-        with pytest.raises(ValueError):
-            store.unpin(BlockId(0, 0))
-
-    def test_nested_pins(self, store):
-        store.put(blk(0, 0))
-        store.pin(BlockId(0, 0))
-        store.pin(BlockId(0, 0))
-        store.unpin(BlockId(0, 0))
-        assert store.is_pinned(BlockId(0, 0))
-        store.unpin(BlockId(0, 0))
-        assert not store.is_pinned(BlockId(0, 0))
-
-    def test_remove_pinned_raises(self, store):
-        store.put(blk(0, 0))
-        store.pin(BlockId(0, 0))
-        with pytest.raises(ValueError):
-            store.remove(BlockId(0, 0))
-
-
 class TestProtect:
     def test_protected_blocks_survive(self, store):
         store.put(blk(0, 0))

@@ -113,11 +113,6 @@ class TestBelady:
         assert order[0].rdd_id == ids["c"]
         assert order[-1].rdd_id == ids["a"]
 
-    def test_requires_full_trace(self):
-        adhoc = ProfileOracle(build_dag(three_rdd_app()), visibility="adhoc")
-        with pytest.raises(ValueError):
-            BeladyPolicy(adhoc)
-
     def test_admission_refuses_worse_blocks(self, oracle):
         ids = ids_by_name(oracle)
         store = MemoryStore(2.0, BeladyPolicy(oracle))

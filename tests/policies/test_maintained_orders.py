@@ -25,8 +25,8 @@ from repro.policies.fifo import FifoPolicy
 from repro.policies.lfu import LfuPolicy
 from repro.policies.lru import LruPolicy
 from repro.simulator.engine import simulate
+from repro.sweep.schemes import resolve_scheme
 from repro.tenancy.arbitration import RDD_NAMESPACE_STRIDE, ArbitratedNodePolicy, StaticShares
-from repro.trace.replay import build_scheme
 
 
 class _StubManager:
@@ -57,7 +57,7 @@ POLICIES = [
 #: built early and must then survive inserts, removals and broadcasts.
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["put", "get", "remove", "pin", "select"]),
+        st.sampled_from(["put", "get", "remove", "select"]),
         st.integers(0, 3),
         st.integers(0, 7),
         st.sampled_from([1.0, 2.0, 3.0]),
@@ -79,11 +79,7 @@ def _apply(store: MemoryStore, op: str, rdd: int, part: int, size: float) -> Non
     elif op == "get":
         store.get(bid)
     elif op == "remove":
-        if bid in store and not store.is_pinned(bid):
-            store.remove(bid)
-    elif op == "pin":
-        if bid in store:
-            store.pin(bid)
+        store.remove(bid)
     elif op == "select":
         for for_prefetch in (False, True):
             check_selection(store.policy, store, size * 2, for_prefetch)
@@ -95,7 +91,7 @@ def reference_walk(order, store, needed_mb, protect):
     for bid in order:
         if freed >= needed_mb:
             break
-        if bid in protect or store.is_pinned(bid):
+        if bid in protect:
             continue
         victims.append(bid)
         freed += store.block(bid).size_mb
@@ -232,7 +228,7 @@ def test_maintained_orders_answer_every_selection(monkeypatch):
     dag = build_bench_dag(bench, "cache")
     cfg = bench.cluster().with_cache(40.0)
     for scheme_name in ("mrd", "mrd-prefetch"):
-        metrics = simulate(dag, cfg, build_scheme(scheme_name))
+        metrics = simulate(dag, cfg, resolve_scheme(scheme_name).build())
         assert metrics.stats.evictions > 0, scheme_name
     assert sorts == []
     assert selections.get(("CacheMonitor", False), 0) > 0

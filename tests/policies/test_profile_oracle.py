@@ -6,7 +6,7 @@ import pytest
 
 from repro.dag.dag_builder import build_dag
 from repro.policies.profile_oracle import INFINITE, ProfileOracle
-from tests.conftest import make_iterative_app, make_linear_app
+from tests.conftest import make_linear_app
 
 
 @pytest.fixture
@@ -44,42 +44,13 @@ class TestRecurringQueries:
     def test_unknown_rdd_is_infinite(self, linear_oracle):
         assert linear_oracle.stage_distance(999) == INFINITE
         assert linear_oracle.remaining_reference_count(999) == 0
-        assert not linear_oracle.is_tracked(999)
-
-    def test_job_distance(self, linear_oracle):
-        rid = points_id(linear_oracle)
-        # At seq 0 (job 0), next read is in job 1.
-        assert linear_oracle.job_distance(rid) == 1
+        assert 999 not in linear_oracle.tracked_rdd_ids()
 
     def test_advance_out_of_range(self, linear_oracle):
         with pytest.raises(ValueError):
             linear_oracle.advance(-1)
         with pytest.raises(ValueError):
             linear_oracle.advance(10_000)
-
-
-class TestAdhocVisibility:
-    def test_cross_job_reference_invisible(self):
-        oracle = ProfileOracle(build_dag(make_linear_app(num_jobs=4)), visibility="adhoc")
-        rid = points_id(oracle)
-        # At seq 0 (job 0) the next read (job 1) is invisible.
-        assert oracle.stage_distance(rid) == INFINITE
-        assert oracle.is_dead(rid)
-        # Once execution reaches job 1, its read becomes visible.
-        oracle.advance(1)
-        assert oracle.stage_distance(rid) == 0
-
-    def test_adhoc_job_distance_zero_or_infinite(self):
-        oracle = ProfileOracle(build_dag(make_iterative_app()), visibility="adhoc")
-        for seq in range(len(oracle.dag.active_stages)):
-            oracle.advance(seq)
-            for rid in oracle.tracked_rdd_ids():
-                jd = oracle.job_distance(rid)
-                assert jd == 0 or math.isinf(jd)
-
-    def test_invalid_visibility(self):
-        with pytest.raises(ValueError):
-            ProfileOracle(build_dag(make_linear_app()), visibility="psychic")
 
 
 class TestWindows:
@@ -94,7 +65,3 @@ class TestWindows:
         # At seq 0 nothing reads points; at lookahead 1 the next stage does.
         assert oracle.referenced_in_window(0) == set()
         assert points_id(oracle) in oracle.referenced_in_window(1)
-
-    def test_had_any_reference(self, linear_oracle):
-        assert linear_oracle.had_any_reference(points_id(linear_oracle))
-        assert not linear_oracle.had_any_reference(999)

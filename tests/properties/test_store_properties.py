@@ -15,7 +15,7 @@ POLICIES = [LruPolicy, FifoPolicy, lambda: RandomPolicy(seed=3)]
 
 #: (op, rdd, part, size) — sizes are small relative to 32 MB capacity.
 _OPS = st.tuples(
-    st.sampled_from(["put", "get", "remove", "pin", "unpin"]),
+    st.sampled_from(["put", "get", "remove"]),
     st.integers(0, 3),
     st.integers(0, 7),
     st.floats(0.5, 12.0),
@@ -26,35 +26,19 @@ _OPS = st.tuples(
 @given(st.lists(_OPS, max_size=60), st.sampled_from(POLICIES))
 def test_store_invariants(ops, policy_factory):
     store = MemoryStore(32.0, policy_factory())
-    pinned: dict[BlockId, int] = {}
     for op, rdd, part, size in ops:
         bid = BlockId(rdd, part)
         if op == "put":
-            result = store.put(Block(id=bid, size_mb=size))
-            for evicted in result.evicted:
-                # Pinned blocks are never evicted.
-                assert pinned.get(evicted.id, 0) == 0
+            store.put(Block(id=bid, size_mb=size))
         elif op == "get":
             block = store.get(bid)
             assert (block is not None) == (bid in store)
         elif op == "remove":
-            if not store.is_pinned(bid):
-                store.remove(bid)
-        elif op == "pin":
-            if bid in store:
-                store.pin(bid)
-                pinned[bid] = pinned.get(bid, 0) + 1
-        elif op == "unpin":
-            if pinned.get(bid, 0) > 0:
-                store.unpin(bid)
-                pinned[bid] -= 1
+            store.remove(bid)
         # Core invariants after every operation:
         assert store.used_mb <= store.capacity_mb + 1e-9
         assert abs(store.used_mb - sum(b.size_mb for b in store.blocks())) < 1e-6
         assert 0 <= len(store)
-        for pinned_bid, count in pinned.items():
-            if count > 0:
-                assert pinned_bid in store
 
 
 @settings(max_examples=50, deadline=None)

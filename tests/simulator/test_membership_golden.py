@@ -22,6 +22,7 @@ from repro.control.plane import RpcConfig
 from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import simulate
 from repro.simulator.failures import Autoscaler, FailurePlan, build_churn_plan
+from repro.sweep.schemes import resolve_scheme
 from repro.tenancy import (
     AppSpec,
     FixedArrivals,
@@ -29,7 +30,6 @@ from repro.tenancy import (
     TimedNodeDecommission,
     TimedNodeJoin,
 )
-from repro.trace.replay import build_scheme
 from tests.simulator.test_scheduler_equivalence import CLUSTER, fingerprint
 
 STANDALONE_DIGEST = "c1865e903f296df68cf436d4f36ee11e78d2865d4707a324d946697d753810c0"
@@ -67,7 +67,7 @@ def standalone_fingerprints() -> list[tuple]:
                 for rebalance in REBALANCES:
                     for placement in PLACEMENTS:
                         m = simulate(
-                            dag, cfg, build_scheme(scheme), failure_plan=plan,
+                            dag, cfg, resolve_scheme(scheme).build(), failure_plan=plan,
                             rebalance=rebalance, placement=placement,
                         )
                         out.append(fingerprint(m))
@@ -75,7 +75,7 @@ def standalone_fingerprints() -> list[tuple]:
     cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
     churn, _ = _plans(len(dag.active_stages))
     out.append(fingerprint(simulate(
-        dag, cfg, build_scheme("mrd-prefetch"), failure_plan=churn,
+        dag, cfg, resolve_scheme("mrd-prefetch").build(), failure_plan=churn,
         rebalance="migrate", placement="rendezvous", control_plane="rpc",
         control_config=RpcConfig(latency_s=1.0, jitter_s=0.3, loss_rate=0.1, seed=4),
     )))

@@ -22,12 +22,18 @@ from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import SCHEDULERS, SparkSimulator, simulate
 from repro.simulator.failures import FailurePlan
 from repro.simulator.metrics import RunMetrics
+from repro.sweep.schemes import SCHEME_SPECS, resolve_scheme
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import SCHEME_BUILDERS, build_scheme
 from repro.workloads.registry import workload_names
 from repro.workloads.synthetic import SyntheticConfig, generate_application
 
 CLUSTER = ClusterConfig(num_nodes=4, slots_per_node=2, cache_mb_per_node=50.0)
+
+#: Every ``SCHEME_SPECS`` scheme but the ad-hoc and job-distance MRD
+#: variants, spelled in lowercase (names resolve case-insensitively).
+SCHEMES = sorted(
+    name.lower() for name in SCHEME_SPECS if name not in ("MRD-adhoc", "MRD-jobdist")
+)
 
 
 def fingerprint(m: RunMetrics) -> tuple:
@@ -53,7 +59,7 @@ def fingerprint(m: RunMetrics) -> tuple:
 
 def run_both(dag, cfg, scheme_name: str, **kwargs) -> tuple[tuple, tuple]:
     results = [
-        fingerprint(simulate(dag, cfg, build_scheme(scheme_name),
+        fingerprint(simulate(dag, cfg, resolve_scheme(scheme_name).build(),
                              scheduler=s, **kwargs))
         for s in SCHEDULERS
     ]
@@ -61,7 +67,7 @@ def run_both(dag, cfg, scheme_name: str, **kwargs) -> tuple[tuple, tuple]:
 
 
 @pytest.mark.parametrize("workload", workload_names())
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_equivalent_on_every_workload_and_policy(workload, scheme_name):
     """Full cross product: 20 workloads x 10 policies, under cache
     pressure (40% of the peak live set) so evictions and prefetches
@@ -90,7 +96,7 @@ def test_equivalent_traces_recorded():
     traces = []
     for scheduler in SCHEDULERS:
         recorder = TraceRecorder()
-        simulate(dag, cfg, build_scheme("mrd"), scheduler=scheduler,
+        simulate(dag, cfg, resolve_scheme("mrd").build(), scheduler=scheduler,
                  recorder=recorder)
         traces.append([ev.to_dict() for ev in recorder.events])
     assert traces[0] == traces[1]
@@ -101,7 +107,7 @@ def test_equivalent_traces_recorded():
     seed=st.integers(0, 40),
     num_jobs=st.integers(2, 8),
     cache=st.floats(4.0, 120.0),
-    scheme_name=st.sampled_from(sorted(SCHEME_BUILDERS)),
+    scheme_name=st.sampled_from(SCHEMES),
 )
 def test_equivalent_on_random_applications(seed, num_jobs, cache, scheme_name):
     """Property form: random synthetic DAGs, any policy, any pressure."""
@@ -126,16 +132,16 @@ def test_equivalent_under_rpc_control_plane(scheme_name):
 
 
 @pytest.mark.parametrize("workload", ["KM", "PR", "CC"])
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_rpc_at_zero_matches_instant(workload, scheme_name):
     """An rpc plane with all knobs at zero is semantically invisible:
     same fingerprint as the default instant plane, on either core."""
     dag = build_workload_dag(workload, partitions=8)
     cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
-    instant = fingerprint(simulate(dag, cfg, build_scheme(scheme_name)))
+    instant = fingerprint(simulate(dag, cfg, resolve_scheme(scheme_name).build()))
     for scheduler in SCHEDULERS:
         rpc = fingerprint(simulate(
-            dag, cfg, build_scheme(scheme_name), scheduler=scheduler,
+            dag, cfg, resolve_scheme(scheme_name).build(), scheduler=scheduler,
             control_plane="rpc", control_config=RpcConfig(latency_s=0.0),
         ))
         assert rpc == instant
@@ -144,4 +150,4 @@ def test_rpc_at_zero_matches_instant(workload, scheme_name):
 def test_unknown_scheduler_rejected():
     dag = build_workload_dag("KM", partitions=8)
     with pytest.raises(ValueError, match="scheduler"):
-        SparkSimulator(dag, CLUSTER, build_scheme("lru"), scheduler="fifo")
+        SparkSimulator(dag, CLUSTER, resolve_scheme("lru").build(), scheduler="fifo")

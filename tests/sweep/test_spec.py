@@ -50,6 +50,22 @@ class TestSchemeSpec:
         with pytest.raises(ValueError, match="unknown scheme"):
             resolve_scheme("MAGIC")
 
+    @pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+    def test_resolve_is_case_insensitive(self, name):
+        spec = SCHEME_SPECS[name]
+        for spelling in (name, name.lower(), name.upper(), name.swapcase()):
+            assert resolve_scheme(spelling) is spec
+
+    def test_names_unique_under_casefold(self):
+        assert len({name.casefold() for name in SCHEME_SPECS}) == len(SCHEME_SPECS)
+
+    def test_grid_labels_a_name_by_its_canonical_spelling(self):
+        # Each key is its spec's name, so a grid label (and with it the
+        # cell fingerprint) does not depend on how the name was typed.
+        assert all(spec.name == name for name, spec in SCHEME_SPECS.items())
+        grid = GridSpec(workloads=["SP"], schemes=["lru", "mrd-EVICT", "MRD"])
+        assert [label for label, _ in grid.resolved_schemes()] == ["LRU", "MRD-evict", "MRD"]
+
 
 class TestFingerprint:
     def test_stable_across_instances(self):

@@ -219,12 +219,13 @@ class TestSingleTenantTransparency:
 
 class TestArbitratedStream:
     def test_protected_and_pinned_blocks_skipped(self):
+        """Protected blocks are never arbitrated victims: ``protect`` is
+        the store's only eviction guard."""
         store, policy = make_store(capacity=100.0)
         for p in range(3):
             store.put(block(0, 1, p))
             store.put(block(1, 1, p))
-        store.pin(bid(0, 1, 0))
-        protect = frozenset({bid(1, 1, 0)})
+        protect = frozenset({bid(0, 1, 0), bid(1, 1, 0)})
         victims = policy.select_victims(store, needed_mb=40.0, protect=protect)
         assert victims is not None
         assert len(victims) == 4

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import SCHEME_FACTORIES, build_parser, main
+from repro.cli import build_parser, main
+from repro.sweep.schemes import SCHEME_SPECS
 
 
 class TestParser:
@@ -250,7 +251,7 @@ class TestCommands:
         assert "Control-plane latency" in capsys.readouterr().out
 
     def test_every_scheme_name_runs(self, capsys):
-        for name in SCHEME_FACTORIES:
+        for name in SCHEME_SPECS:
             assert main([
                 "run", "SP", "--scheme", name, "--partitions", "8",
                 "--cache-fraction", "0.4",

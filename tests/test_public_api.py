@@ -43,11 +43,11 @@ def test_all_lists_are_sorted():
 
 
 def test_cli_schemes_construct():
-    from repro.cli import SCHEME_FACTORIES
     from repro.policies import CacheScheme
+    from repro.sweep.schemes import SCHEME_SPECS
 
-    for name, factory in SCHEME_FACTORIES.items():
-        scheme = factory()
+    for name, spec in SCHEME_SPECS.items():
+        scheme = spec.build()
         assert isinstance(scheme, CacheScheme), name
 
 
