@@ -147,7 +147,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.sweep.runner import simulate_cell
-    from repro.sweep.spec import CellSpec
+    from repro.sweep.spec import CellSpec, validate_cells
 
     cluster = _cluster(args)
     spec = _scheme_spec(args.scheme)
@@ -181,6 +181,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # churn_rate is the one field argparse leaves open
         raise SystemExit(f"bad churn config: {exc}") from exc
+    try:
+        validate_cells([cell])
+    except ValueError as exc:
+        raise SystemExit(f"run failed: {exc}") from exc
     metrics = simulate_cell(cell)
     print(f"cluster={cluster.name} cache={metrics.cache_mb_per_node:.1f} MB/node")
     print(metrics.summary())

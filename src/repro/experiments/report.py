@@ -28,7 +28,7 @@ from repro.experiments import (
     table1,
     table3,
 )
-from repro.experiments.harness import cell_cache_scope
+from repro.sweep.runner import cell_cache_scope
 
 
 def generate_report(
@@ -48,10 +48,10 @@ def generate_report(
     grid is published into ``store`` and drained by external
     ``repro sweep --worker`` processes instead of this one.
 
-    The in-process sweeps share one cell cache for the whole report
-    (:func:`~repro.experiments.harness.cell_cache_scope`), so a cell
-    several figures need is simulated once.  With ``progress`` each
-    figure prints its seconds and how many cells it simulated and
+    Every sweep shares finished cells for the whole report
+    (:func:`~repro.sweep.runner.cell_cache_scope`), so a cell several
+    figures need is simulated once at any job count.  With ``progress``
+    each figure prints its seconds and how many cells it simulated and
     reused.
     """
     buf = io.StringIO()

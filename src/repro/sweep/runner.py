@@ -2,8 +2,14 @@
 
 :func:`run_cells` takes a list of :class:`CellSpec` cells and executes
 each one — in-process when ``jobs == 1``, across a ``multiprocessing``
-pool otherwise.  Three properties the experiment drivers and the
-``repro sweep`` CLI rely on:
+pool otherwise.  It is the one executor behind ``sweep_workload``, the
+figure drivers and the ``repro sweep`` CLI, which rely on four
+properties:
+
+* **One simulation per content** — cells that differ only in their
+  display label share a :meth:`~CellSpec.content_key` and are simulated
+  once; each cell still gets its own, relabelled result.  Inside
+  :func:`cell_cache_scope` the same holds across calls, at any ``jobs``.
 
 * **Determinism** — a cell is a pure function of its spec: the worker
   rebuilds the workload DAG, cluster, and scheme from plain data, and
@@ -26,20 +32,26 @@ eviction behaviour (see ``tests/sweep/test_profile_isolation.py``).
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import time
 import traceback
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 from repro.control.plane import RpcConfig
 from repro.core.app_profiler import ProfileStore
+from repro.dag.dag_builder import ApplicationDAG
 from repro.simulator.config import CLUSTERS
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_to_dict
 from repro.sweep.spec import CellSpec
 from repro.sweep.store import STATUS_ERROR, STATUS_OK, CellResult, ResultStore
+from repro.workloads.base import WorkloadParams, WorkloadSpec
 
 #: ``progress(done, total, result)`` — invoked after every cell.
 ProgressFn = Callable[[int, int, CellResult], None]
@@ -56,16 +68,62 @@ def _build_cluster_config(cell: CellSpec):
     return config
 
 
+class CellScope:
+    """Finished cells shared by every :func:`run_cells` call in a scope.
+
+    Keyed by :meth:`CellSpec.content_key`.  A result is kept only as the
+    JSON text of its metrics (a few KB per cell) and every hit decodes a
+    fresh copy: callers relabel and may mutate what they get, and holding
+    live results for a whole report would cost far more memory.
+    """
+
+    def __init__(self) -> None:
+        self.blobs: dict[str, str] = {}
+        #: Cells simulated, and cells served without simulating them.
+        self.simulated = 0
+        self.reused = 0
+
+
+#: The scope every :func:`run_cells` call shares while one is open.
+_scope: ContextVar[CellScope | None] = ContextVar("cell_scope", default=None)
+
+
+@contextmanager
+def cell_cache_scope() -> Iterator[CellScope]:
+    """Share finished cells across every :func:`run_cells` call in the block.
+
+    :func:`~repro.experiments.report.generate_report` holds one open, so
+    a cell several figures need is simulated once at any job count.
+    """
+    scope = CellScope()
+    token = _scope.set(scope)
+    try:
+        yield scope
+    finally:
+        _scope.reset(token)
+
+
+@lru_cache(maxsize=1)
+def workload_dag(spec: WorkloadSpec, params: WorkloadParams) -> ApplicationDAG:
+    """The DAG ``spec`` builds from ``params``, memoised one deep.
+
+    Consecutive cells of a sweep share one build, so they share its DAG
+    and the engine plans compiled onto it.
+    """
+    # Through the module, so a wrapped ``build_dag`` sees every build.
+    from repro.dag import dag_builder
+
+    return dag_builder.build_dag(spec.build(params))
+
+
 def simulate_cell(cell: CellSpec, profile_path: str | None = None) -> RunMetrics:
     """Run one cell to completion (pure function of the spec).
 
     The one recipe from a described run to its metrics: sweep cells,
-    the report's runner path and ``repro run`` all come through here.
+    ``sweep_workload`` and ``repro run`` all come through here.
     """
-    from repro.dag.dag_builder import build_dag
     from repro.experiments.harness import cache_mb_for
     from repro.simulator.engine import simulate
-    from repro.workloads.base import WorkloadParams
     from repro.workloads.registry import get_workload
 
     params = WorkloadParams(
@@ -77,7 +135,7 @@ def simulate_cell(cell: CellSpec, profile_path: str | None = None) -> RunMetrics
         ),
         seed=cell.seed,
     )
-    dag = build_dag(get_workload(cell.workload).build(params))
+    dag = workload_dag(get_workload(cell.workload), params)
     cluster = _build_cluster_config(cell)
     if cell.cache_mb is not None:
         cache_mb = cell.cache_mb
@@ -148,7 +206,7 @@ class SweepOutcome:
     """Everything one :func:`run_cells` invocation produced."""
 
     cells: list[CellSpec]
-    #: One result per cell, in cell order (duplicates share results).
+    #: One result per cell, in cell order (repeated fingerprints share one).
     results: list[CellResult]
     computed: int = 0
     cached: int = 0
@@ -237,18 +295,23 @@ def run_cells(
 ) -> SweepOutcome:
     """Run every cell; return results in cell order.
 
-    ``jobs`` bounds worker processes (1 = in-process, no pool).  With a
-    ``store``, completed cells persist immediately and — when ``resume``
-    is true — previously stored *successful* results are served without
-    recomputation; stored error results always retry (their stale
-    profile directory is purged first, so the retry starts cold).
+    ``jobs`` bounds worker processes (1 = in-process, no pool).  Cells
+    with one :meth:`~CellSpec.content_key` are simulated once and the
+    result is relabelled for the others.  Inside :func:`cell_cache_scope`
+    a cell an earlier call finished is served from the scope.  With a
+    ``store``, every cell's fingerprint gets its own result file as soon
+    as it settles and — when ``resume`` is true — previously stored
+    *successful* results are served without recomputation; stored error
+    results always retry (their stale profile directory is purged
+    first, so the retry starts cold).
 
     With ``external=True`` nothing computes locally: the grid manifest
     is published into the ``store`` (which becomes mandatory) and this
     call blocks, polling every ``poll_s`` seconds, until external
     ``repro sweep --worker`` processes have settled every cell — the
     coordinator half of the distributed sweep service
-    (:mod:`repro.sweep.service`).  ``timeout_s`` bounds the wait.
+    (:mod:`repro.sweep.service`).  Workers compute each published
+    fingerprint.  ``timeout_s`` bounds the wait.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -264,23 +327,54 @@ def run_cells(
             )
     cells = list(cells)
     start = time.perf_counter()
+    scope = _scope.get()
+
+    fingerprints = [cell.fingerprint() for cell in cells]
+    #: content key -> {fingerprint: cell}, both in first-seen order.
+    groups: dict[str, dict[str, CellSpec]] = {}
+    for cell, fingerprint in zip(cells, fingerprints):
+        key = fingerprint if external else cell.content_key()
+        groups.setdefault(key, {}).setdefault(fingerprint, cell)
 
     results: dict[str, CellResult] = {}
-    pending: list[tuple[CellSpec, str | None]] = []
-    seen_pending: set[str] = set()
-    order: list[str] = []
-    cached = 0
-    for cell in cells:
-        fingerprint = cell.fingerprint()
-        order.append(fingerprint)
-        if fingerprint in results or fingerprint in seen_pending:
-            continue  # duplicate cell: compute once, share the result
-        stored = store.get(fingerprint) if (store is not None and resume) else None
-        if stored is not None and stored.ok:
-            stored.cached = True
-            results[fingerprint] = stored
-            cached += 1
+    #: Fingerprints whose stored result file is already the right one.
+    on_disk: set[str] = set()
+    #: The cell that computes each pending content key, by fingerprint.
+    key_of: dict[str, str] = {}
+    tasks: list[tuple[CellSpec, str | None]] = []
+    total = sum(len(members) for members in groups.values())
+    done = 0
+
+    def settle(key: str, source: CellResult, computed: bool) -> None:
+        """Give every cell of ``key``'s group its result, store, report."""
+        nonlocal done
+        if scope is not None and source.ok and key not in scope.blobs:
+            scope.blobs[key] = json.dumps(source.metrics)
+        for fingerprint, cell in groups[key].items():
+            result = _relabelled(source, fingerprint, cell)
+            result.cached = result is not source or not computed
+            results[fingerprint] = result
+            if store is not None and fingerprint not in on_disk:
+                store.put(result)
+            done += 1
+            if progress is not None:
+                progress(done, total, result)
+
+    for key, members in groups.items():
+        stored: list[CellResult] = []
+        if store is not None and resume:
+            stored = [hit for hit in map(store.get, members) if hit is not None and hit.ok]
+            on_disk.update(hit.fingerprint for hit in stored)
+        blob = scope.blobs.get(key) if scope is not None else None
+        if blob is not None:
+            # Matches no fingerprint, so every cell gets a relabelled copy.
+            source = CellResult("", {}, STATUS_OK, metrics=json.loads(blob))
+            settle(key, source, computed=False)
             continue
+        if stored:
+            settle(key, stored[0], computed=False)
+            continue
+        cell = next(iter(members.values()))
         profile_path: str | None = None
         if cell.profile_store and not external:
             if store is None:
@@ -291,32 +385,17 @@ def run_cells(
             # The cell is about to recompute: purge any profile a prior
             # run of this fingerprint left behind (cross-run MRD profile
             # leakage — the result must be a pure function of the spec).
-            store.reset_profiles(fingerprint)
-            profile_path = str(store.profile_path(fingerprint))
-        seen_pending.add(fingerprint)
-        pending.append((cell, profile_path))
+            store.reset_profiles(cell.fingerprint())
+            profile_path = str(store.profile_path(cell.fingerprint()))
+        key_of[cell.fingerprint()] = key
+        tasks.append((cell, profile_path))
 
-    total = len(results) + len(pending)
-    done = len(results)
-    if progress is not None:
-        for i, result in enumerate(results.values(), start=1):
-            progress(i, total, result)
-
-    def _record(result: CellResult) -> None:
-        nonlocal done
-        results[result.fingerprint] = result
-        if store is not None:
-            store.put(result)
-        done += 1
-        if progress is not None:
-            progress(done, total, result)
-
-    if pending and external:
+    if tasks and external:
         from repro.sweep.service import publish_manifest
 
         assert isinstance(store, ResultStore)
         publish_manifest(store, cells)
-        waiting = [cell for cell, _ in pending]
+        waiting = [cell for cell, _ in tasks]
         deadline = None if timeout_s is None else start + timeout_s
         while waiting:
             still_waiting = []
@@ -325,10 +404,8 @@ def run_cells(
                 if result is None:
                     still_waiting.append(cell)
                     continue
-                results[result.fingerprint] = result
-                done += 1
-                if progress is not None:
-                    progress(done, total, result)
+                on_disk.add(result.fingerprint)
+                settle(key_of[result.fingerprint], result, computed=True)
             waiting = still_waiting
             if not waiting:
                 break
@@ -339,16 +416,17 @@ def run_cells(
                     f"against {store.root}?)"
                 )
             time.sleep(poll_s)
-    elif pending:
+    elif tasks:
         if jobs == 1:
-            for task in pending:
-                _record(_pool_entry(task))
+            for task in tasks:
+                result = _pool_entry(task)
+                settle(key_of[result.fingerprint], result, computed=True)
         else:
             ctx = _pool_context()
-            pool = ctx.Pool(processes=min(jobs, len(pending)))
+            pool = ctx.Pool(processes=min(jobs, len(tasks)))
             try:
-                for result in pool.imap_unordered(_pool_entry, pending, chunksize=1):
-                    _record(result)
+                for result in pool.imap_unordered(_pool_entry, tasks, chunksize=1):
+                    settle(key_of[result.fingerprint], result, computed=True)
                 pool.close()
             except BaseException:
                 pool.terminate()
@@ -356,12 +434,28 @@ def run_cells(
             finally:
                 pool.join()
 
-    ordered = [results[fp] for fp in order]
+    if scope is not None:
+        scope.simulated += len(tasks)
+        scope.reused += len(cells) - len(tasks)
+    ordered = [results[fp] for fp in fingerprints]
     return SweepOutcome(
         cells=cells,
         results=ordered,
-        computed=len(pending),
-        cached=cached,
+        computed=len(tasks),
+        cached=sum(1 for r in results.values() if r.cached),
         errors=sum(1 for r in results.values() if not r.ok),
         elapsed_s=time.perf_counter() - start,
+    )
+
+
+def _relabelled(source: CellResult, fingerprint: str, cell: CellSpec) -> CellResult:
+    """``source`` as the result of ``cell``: its fingerprint, spec and label."""
+    if source.fingerprint == fingerprint:
+        return source
+    metrics = source.metrics
+    if metrics is not None:
+        metrics = dict(metrics, scheme=cell.scheme)
+    return CellResult(
+        fingerprint=fingerprint, spec=cell.to_dict(), status=source.status,
+        metrics=metrics, error=source.error, elapsed_s=source.elapsed_s,
     )

@@ -8,10 +8,7 @@ scheme to build and with which knobs — and the worker instantiates the
 scheme right before simulating.
 
 ``SchemeSpec`` is also *callable* (``spec()`` builds a fresh scheme), so
-everywhere the experiment harness used to accept a zero-argument scheme
-factory it now accepts a ``SchemeSpec`` transparently; custom callables
-remain supported by the harness's serial path (see
-``repro.experiments.harness``).
+it serves wherever a zero-argument scheme factory is expected.
 
 The canonical named line-up lives in :data:`SCHEME_SPECS`, the only
 name → scheme table; :func:`resolve_scheme` matches its names
@@ -100,7 +97,7 @@ class SchemeSpec:
         )
 
     def __call__(self) -> CacheScheme:
-        """Zero-argument factory protocol (harness compatibility)."""
+        """Zero-argument factory protocol: a fresh scheme per call."""
         return self.build()
 
     # ------------------------------------------------------------------
@@ -153,7 +150,7 @@ def resolve_scheme(value: SchemeLike) -> SchemeSpec:
     Names match :data:`SCHEME_SPECS` keys case-insensitively (``lru``,
     ``mrd-evict``).  Raises ``ValueError`` for unknown names or
     malformed dicts; live factories (plain callables) are *not* accepted
-    here — they cannot cross a process boundary.
+    — a sweep cell must cross a process boundary as plain data.
     """
     if isinstance(value, SchemeSpec):
         return value
@@ -165,7 +162,10 @@ def resolve_scheme(value: SchemeLike) -> SchemeSpec:
         raise ValueError(f"unknown scheme {value!r}; choose from {sorted(SCHEME_SPECS)}")
     if isinstance(value, dict):
         return SchemeSpec.from_dict(value)
-    raise ValueError(f"cannot resolve scheme from {type(value).__name__}")
+    raise ValueError(
+        f"cannot resolve scheme from {type(value).__name__}; "
+        "give a scheme name, a dict or a SchemeSpec"
+    )
 
 
 def resolve_scheme_mix(values: Iterable[SchemeLike]) -> tuple[SchemeSpec, ...]:
@@ -179,10 +179,3 @@ def resolve_scheme_mix(values: Iterable[SchemeLike]) -> tuple[SchemeSpec, ...]:
     if not specs:
         raise ValueError("a scheme mix needs at least one scheme")
     return specs
-
-
-def maybe_resolve_scheme(value: object) -> SchemeSpec | None:
-    """Like :func:`resolve_scheme` but returns ``None`` for live factories."""
-    if isinstance(value, (SchemeSpec, str, dict)):
-        return resolve_scheme(value)
-    return None

@@ -13,10 +13,12 @@ Fingerprints
 
 ``CellSpec.fingerprint()`` is a SHA-256 over the cell's canonical JSON
 form plus :data:`FINGERPRINT_VERSION`.  Two cells share a fingerprint
-iff they describe the same simulation, so the fingerprint doubles as
-the key of the on-disk result store (``repro.sweep.store``): editing
-any field of a cell — and only that — invalidates its cached result.
-Bump the version when the *meaning* of an existing field changes.
+iff they describe the same labelled simulation, so the fingerprint
+doubles as the key of the on-disk result store (``repro.sweep.store``):
+editing any field of a cell — and only that — invalidates its cached
+result.  :meth:`CellSpec.content_key` leaves the label out; the runner
+simulates once per content key.  Bump the version when the *meaning*
+of an existing field changes.
 
 Seeds
 -----
@@ -187,9 +189,25 @@ class CellSpec:
 
     def fingerprint(self) -> str:
         """Content address of this cell (16 hex chars of SHA-256)."""
-        payload = {"v": FINGERPRINT_VERSION, **self.to_dict()}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _digest(self.to_dict())
+
+    def content_key(self) -> str:
+        """The fingerprint without the ``scheme`` label: what is simulated.
+
+        Cells that differ only in their label run the same simulation,
+        so the runner simulates one and relabels the rest.  The label
+        stays in the key when it can change the outcome: an rpc or churn
+        seed derived from the fingerprint, or a per-fingerprint profile
+        directory.
+        """
+        spec = self.to_dict()
+        derived_seed = (
+            (self.control_plane == "rpc" and self.control_seed is None)
+            or (self.churn_rate > 0 and self.churn_seed is None)
+        )
+        if not (derived_seed or self.profile_store):
+            del spec["scheme"]
+        return _digest(spec)
 
     def derived_control_seed(self) -> int:
         """Per-cell RNG seed: explicit ``control_seed`` or fingerprint-derived.
@@ -228,6 +246,12 @@ class CellSpec:
         if self.churn_rate > 0:
             extra += f" churn={self.churn_rate:g}/{self.rebalance}"
         return f"{self.workload}/{self.scheme}{cache}{extra}"
+
+
+def _digest(spec: dict) -> str:
+    payload = {"v": FINGERPRINT_VERSION, **spec}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def validate_cells(cells: Sequence[CellSpec]) -> None:

@@ -85,7 +85,8 @@ class CellResult:
     error: dict | None = None
     #: Wall-clock compute time (informational; excluded from identity).
     elapsed_s: float = 0.0
-    #: True when this result was served from the store, not computed.
+    #: True when this cell was not simulated for itself: served from the
+    #: store, a cell scope, or a cell with the same content key.
     #: Runtime-only — not persisted.
     cached: bool = field(default=False, compare=False)
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
+
+import pytest
 
 from repro.core.policy import MrdScheme
 from repro.experiments import fig_control_latency
@@ -39,26 +42,32 @@ class TestSweepWorkloadRouting:
         again = sweep_workload("SP", store=tmp_path, **_KWARGS)
         assert _runs(again) == _runs(first)
 
-    def test_live_factories_fall_back_to_serial(self, tmp_path):
-        # A lambda cannot cross a process boundary; the harness must
-        # quietly run it in-process even when jobs/store are requested.
-        schemes = {"custom": lambda: MrdScheme(prefetch=False)}
-        result = sweep_workload(
-            "SP", schemes=schemes, cluster=CLUSTERS["test"],
-            cache_fractions=(0.5,), partitions=8, jobs=2, store=tmp_path,
-        )
-        assert [r.scheme for r in result.runs] == ["custom"]
-        assert len(ResultStore(tmp_path)) == 0  # nothing was farmed out
+    def test_live_factories_are_rejected(self, tmp_path):
+        # A lambda cannot cross a process boundary, so no sweep takes one.
+        schemes = {"LRU": SchemeSpec("LRU"),
+                   "custom": lambda: MrdScheme(prefetch=False)}
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="scheme 'custom'"):
+                sweep_workload(
+                    "SP", schemes=schemes, cluster=CLUSTERS["test"],
+                    cache_fractions=(0.5,), partitions=8, jobs=jobs,
+                    store=tmp_path,
+                )
+        assert len(ResultStore(tmp_path)) == 0  # rejected before running
 
-    def test_prebuilt_dag_falls_back_to_serial(self, tmp_path):
+    def test_prebuilt_dag_is_rejected(self, tmp_path):
         from repro.experiments.harness import build_workload_dag
 
         dag = build_workload_dag("SP", partitions=8)
-        result = sweep_workload(
-            "SP", dag=dag, jobs=2, store=tmp_path, **_KWARGS
-        )
-        assert result.dag is dag
+        with pytest.raises(TypeError, match="dag"):
+            sweep_workload("SP", dag=dag, jobs=2, store=tmp_path, **_KWARGS)
         assert len(ResultStore(tmp_path)) == 0
+
+    def test_non_preset_cluster_is_rejected(self):
+        custom = replace(CLUSTERS["test"], num_nodes=3)
+        with pytest.raises(ValueError, match="not a preset.*'main'"):
+            sweep_workload("SP", schemes=_SCHEMES, cluster=custom,
+                           cache_fractions=(0.5,), partitions=8)
 
     def test_scheme_labels_survive_the_runner(self, tmp_path):
         schemes = {"renamed": SchemeSpec("MRD")}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sweep.runner import SweepError, run_cell, run_cells, scheduler_mismatches
@@ -52,6 +54,24 @@ class TestRunCells:
         assert len(outcome.results) == 3
         assert outcome.computed == 1
         assert len({id(r) for r in outcome.results}) == 1
+
+    def test_relabelled_cells_share_one_simulation(self, tmp_path):
+        base = _cells(fractions=(0.5,), schemes=("MRD",))[0]
+        cells = [replace(base, scheme=label) for label in ("MRD", "full")]
+        store = ResultStore(tmp_path)
+        outcome = run_cells(cells, store=store)
+        assert (outcome.computed, outcome.cached) == (1, 1)
+        # Each fingerprint keeps its own self-describing record.
+        assert len(store) == 2
+        payloads = []
+        for cell in cells:
+            stored = store.get(cell.fingerprint())
+            assert stored.spec["scheme"] == stored.metrics["scheme"] == cell.scheme
+            assert outcome.metrics_for(cell).scheme == cell.scheme
+            payloads.append(dict(stored.metrics, scheme=None))
+        assert payloads[0] == payloads[1]
+        again = run_cells(cells, store=store)
+        assert (again.computed, again.cached) == (0, 2)
 
     def test_results_arrive_in_cell_order_regardless_of_jobs(self):
         cells = _cells()

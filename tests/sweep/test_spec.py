@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +127,30 @@ class TestFingerprint:
         pinned = CellSpec(workload="SP", control_plane="rpc",
                           control_latency=1.0, control_seed=42)
         assert pinned.derived_control_seed() == 42
+
+
+class TestContentKey:
+    def test_label_is_not_part_of_the_key(self):
+        a = CellSpec(workload="SP", scheme="x", scheme_spec=SchemeSpec("MRD"))
+        b = replace(a, scheme="y")
+        assert a.fingerprint() != b.fingerprint()
+        assert a.content_key() == b.content_key()
+        assert a.content_key() != replace(a, cache_fraction=0.4).content_key()
+
+    @pytest.mark.parametrize("fields", [
+        {"control_plane": "rpc"},
+        {"churn_rate": 0.3},
+        {"profile_store": True},
+    ])
+    def test_label_stays_where_it_changes_the_run(self, fields):
+        a = CellSpec(workload="SP", scheme="x", **fields)
+        assert a.content_key() == a.fingerprint()
+        assert a.content_key() != replace(a, scheme="y").content_key()
+
+    def test_pinned_seeds_make_the_label_inert(self):
+        a = CellSpec(workload="SP", scheme="x", control_plane="rpc",
+                     control_seed=1, churn_rate=0.3, churn_seed=2)
+        assert a.content_key() == replace(a, scheme="y").content_key()
 
 
 class TestCellValidation:

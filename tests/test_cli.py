@@ -159,6 +159,10 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown scheme"):
             main(["run", "SP", "--scheme", "MAGIC"])
 
+    def test_run_unknown_workload_exits(self):
+        with pytest.raises(SystemExit, match="run failed: unknown workload 'XX'"):
+            main(["run", "XX"])
+
     def test_unknown_cluster_exits(self):
         with pytest.raises(SystemExit, match="unknown cluster"):
             main(["run", "SP", "--cluster", "moon"])
